@@ -1,15 +1,10 @@
 """Batch (vectorised) kernels versus the scalar succinct primitives.
 
-Two levels of measurement, matching the two claims of the batch-kernel work:
-
-* **micro** -- raw rank/select throughput of the ``*_many`` kernels against a
-  Python loop over the scalar methods, on a large random bitmap and a wavelet
-  tree (the work-horse operations behind every query of the paper);
-* **paper-figure queries** -- end-to-end latency of Figure 14 Medline queries
-  (the bottom-up, text-seeded strategy the batch path rewrites) evaluated
-  with ``EvaluationOptions(batch_kernels=True)`` versus the scalar reference
-  path (``batch_kernels=False``) on the same document, plus one Figure 10
-  XMark text query.
+Raw rank/select throughput of the ``*_many`` kernels against a Python loop
+over the scalar methods, on a large random bitmap and a wavelet tree (the
+work-horse operations behind every query of the paper).  End-to-end engine
+speed is measured by the repository benchmark (``perfbench/``), which times
+the paper's XMark and Medline queries against the DOM baseline.
 
 Runs standalone for CI (``python benchmarks/bench_batch_kernels.py --quick
 --out BENCH_pr5.json``) or under pytest like the other modules.
@@ -26,24 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Document, EvaluationOptions, IndexOptions
 from repro.bits.bitvector import BitVector
 from repro.sequence.wavelet_tree import WaveletTree
-from repro.workloads import MEDLINE_QUERIES, generate_medline_xml, generate_xmark_xml
 
 from _bench_utils import print_table
-
-#: Figure 14 queries evaluated bottom-up over the FM-index (the seeded path
-#: the batch kernels rewrite), plus one XMark text query in the same shape.
-QUERY_SET = {
-    "M02": MEDLINE_QUERIES["M02"],
-    "M06": MEDLINE_QUERIES["M06"],
-    "M07": MEDLINE_QUERIES["M07"],
-    "X-contains": '//item[name[contains(., "gold")]]',
-}
-
-BATCH = EvaluationOptions()
-SCALAR = EvaluationOptions(batch_kernels=False)
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -89,51 +70,17 @@ def micro_benchmarks(num_bits: int, num_queries: int, repeats: int) -> dict:
     }
 
 
-def query_benchmarks(num_citations: int, xmark_scale: float, repeats: int) -> tuple[dict, dict]:
-    """Paper-figure query latency: batch engine path vs the scalar reference."""
-    medline = Document.from_string(
-        generate_medline_xml(num_citations=num_citations, seed=7), IndexOptions(sample_rate=16)
-    )
-    xmark = Document.from_string(generate_xmark_xml(scale=xmark_scale, seed=42), IndexOptions(sample_rate=16))
-    metrics: dict[str, float] = {}
-    detail: dict[str, dict] = {}
-    for name, query in QUERY_SET.items():
-        document = xmark if name.startswith("X") else medline
-        assert document.count(query, BATCH) == document.count(query, SCALAR), name
-        batch_seconds = _best_of(lambda doc=document, q=query: doc.query(q, BATCH), repeats)
-        scalar_seconds = _best_of(lambda doc=document, q=query: doc.query(q, SCALAR), repeats)
-        key = name.lower().replace("-", "_")
-        metrics[f"query_{key}_batch_speedup"] = scalar_seconds / batch_seconds
-        detail[name] = {
-            "query": query,
-            "batch_ms": batch_seconds * 1000,
-            "scalar_ms": scalar_seconds * 1000,
-        }
-    metrics["bottomup_batch_ms_total"] = sum(entry["batch_ms"] for entry in detail.values())
-    return metrics, detail
-
-
-def run_benchmark(
-    num_bits: int = 2_000_000,
-    num_queries: int = 200_000,
-    num_citations: int = 300,
-    xmark_scale: float = 0.3,
-    repeats: int = 3,
-) -> dict:
+def run_benchmark(num_bits: int = 2_000_000, num_queries: int = 200_000, repeats: int = 3) -> dict:
     micro = micro_benchmarks(num_bits, num_queries, repeats)
-    queries, detail = query_benchmarks(num_citations, xmark_scale, repeats)
     return {
         "meta": {
             "num_bits": num_bits,
             "num_queries": num_queries,
-            "num_citations": num_citations,
-            "xmark_scale": xmark_scale,
             "repeats": repeats,
-            "queries": detail,
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
         },
-        "metrics": {name: round(value, 3) for name, value in {**micro, **queries}.items()},
+        "metrics": {name: round(value, 3) for name, value in micro.items()},
     }
 
 
@@ -148,17 +95,6 @@ def _report(results: dict) -> None:
             ["WaveletTree.rank_many", f"{metrics['wavelet_batch_rank_speedup']:.1f}x", "-"],
         ],
     )
-    rows = []
-    for name, entry in results["meta"]["queries"].items():
-        key = f"query_{name.lower().replace('-', '_')}_batch_speedup"
-        rows.append(
-            [name, f"{entry['scalar_ms']:.1f}", f"{entry['batch_ms']:.1f}", f"{metrics[key]:.2f}x"]
-        )
-    print_table(
-        "Paper-figure queries: batch engine path vs scalar path",
-        ["query", "scalar ms", "batch ms", "speedup"],
-        rows,
-    )
 
 
 # -- pytest entry points ---------------------------------------------------------------
@@ -166,14 +102,11 @@ def _report(results: dict) -> None:
 
 def test_batch_kernels_beat_scalar(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    results = run_benchmark(
-        num_bits=500_000, num_queries=50_000, num_citations=150, xmark_scale=0.1, repeats=2
-    )
+    results = run_benchmark(num_bits=500_000, num_queries=50_000, repeats=2)
     _report(results)
     metrics = results["metrics"]
     assert metrics["bitvector_batch_rank_speedup"] > 3.0
     assert metrics["bitvector_batch_select_speedup"] > 3.0
-    assert metrics["query_m02_batch_speedup"] > 1.0
 
 
 # -- CLI entry point (the CI bench-smoke and nightly-bench jobs) -----------------------
@@ -186,9 +119,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        results = run_benchmark(
-            num_bits=500_000, num_queries=50_000, num_citations=150, xmark_scale=0.12, repeats=2
-        )
+        results = run_benchmark(num_bits=500_000, num_queries=50_000, repeats=2)
     else:
         results = run_benchmark()
     _report(results)

@@ -394,15 +394,9 @@ class Document(Serializable):
 
     # -- text predicate dispatch (FM-index / plain / word index) ----------------------------------------------
 
-    def match_text_predicate(
-        self, kind: str, pattern: str, threshold: float | None = None, batch_kernels: bool = True
-    ) -> np.ndarray:
-        """Text identifiers whose content satisfies the predicate ``kind(pattern)``.
-
-        ``batch_kernels=False`` routes the occurrence-locating predicates
-        through the scalar FM-index walk (the cross-checked reference path).
-        """
-        ids = self._match_text_predicate(kind, pattern, threshold, batch_kernels)
+    def match_text_predicate(self, kind: str, pattern: str, threshold: float | None = None) -> np.ndarray:
+        """Text identifiers whose content satisfies the predicate ``kind(pattern)``."""
+        ids = self._match_text_predicate(kind, pattern, threshold)
         # A document without any text is indexed over one phantom empty text
         # (the FM-index needs content); identifiers past the tree's real text
         # leaves must never escape to the planner or the bottom-up seeds.
@@ -411,9 +405,7 @@ class Document(Serializable):
             ids = ids[ids < self.tree.num_texts]
         return ids
 
-    def _match_text_predicate(
-        self, kind: str, pattern: str, threshold: float | None, batch_kernels: bool = True
-    ) -> np.ndarray:
+    def _match_text_predicate(self, kind: str, pattern: str, threshold: float | None) -> np.ndarray:
         if kind == "pssm":
             matrix, score = self.pssm_matrix(pattern, threshold)
             from repro.text.pssm import pssm_search
@@ -423,13 +415,11 @@ class Document(Serializable):
             return self.word_index.contains(pattern)
         collection = self.text_collection
         if kind == "contains":
-            return collection.contains_auto(
-                pattern, cutoff=self.options.contains_cutoff, batch=batch_kernels
-            )
+            return collection.contains_auto(pattern, cutoff=self.options.contains_cutoff)
         if kind == "starts-with":
             return collection.starts_with(pattern)
         if kind == "ends-with":
-            return collection.ends_with(pattern, batch=batch_kernels)
+            return collection.ends_with(pattern)
         if kind == "equals":
             return collection.equals(pattern)
         raise ValueError(f"unknown text predicate kind {kind!r}")

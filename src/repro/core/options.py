@@ -76,11 +76,6 @@ class EvaluationOptions:
         Let the planner choose the bottom-up (text-seeded) strategy.
     counting:
         Evaluate in counting mode (result cardinalities instead of node sets).
-    batch_kernels:
-        Drive the hot engine loops (bottom-up candidate collection, automaton
-        jump resolution) through the vectorised ``*_many`` kernels of the
-        succinct layers instead of per-node scalar calls.  The scalar path is
-        kept for cross-checking (the fuzz oracle compares both).
     """
 
     jumping: bool = True
@@ -90,7 +85,6 @@ class EvaluationOptions:
     use_tag_tables: bool = True
     allow_bottom_up: bool = True
     counting: bool = False
-    batch_kernels: bool = True
 
     def replace(self, **changes) -> "EvaluationOptions":
         """Return a copy with the given fields changed."""
@@ -106,5 +100,4 @@ class EvaluationOptions:
             early_evaluation=False,
             use_tag_tables=False,
             allow_bottom_up=False,
-            batch_kernels=False,
         )

@@ -52,15 +52,11 @@ __all__ = [
 ]
 
 #: Evaluation-options configurations every supported query is checked under.
-#: ``scalar-kernels`` runs the engine with the batch (vectorised) kernels
-#: switched off, so every fuzz sample cross-checks the batch hot path against
-#: its scalar reference implementation.
 EVAL_MATRIX: dict[str, EvaluationOptions] = {
     "default": EvaluationOptions(),
     "naive": EvaluationOptions.naive(),
     "top-down": EvaluationOptions(allow_bottom_up=False),
     "eager": EvaluationOptions(lazy_result_sets=False, early_evaluation=False),
-    "scalar-kernels": EvaluationOptions(batch_kernels=False),
 }
 
 #: Index-options configurations the fuzz loop samples documents from.

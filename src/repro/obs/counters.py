@@ -8,11 +8,9 @@ families.  Counters are folded in *once per finished query* (at the end of
 hot loops, so instrumentation cost stays off the rank/select fast paths.
 
 Note the scalar-vs-batch semantics: ``kernel_batch_calls_total`` counts batch
-*invocations* (one ``tagged_desc_many`` over 10k nodes is one call), while
+*invocations* (one ``parent_many`` over 10k nodes is one call), while
 ``select_calls_total``/``rank_calls_total`` count engine-level scalar
-operations.  The two families are therefore not comparable element-for-element;
-a workload shifting from scalar to batch kernels will show scalar counters
-falling and batch counters rising far more slowly.
+operations.  The two families are therefore not comparable element-for-element.
 """
 
 from __future__ import annotations
@@ -155,7 +153,6 @@ _PLANNER_FIELDS = (
     "plans_top_down_total",
     "plans_naive_text_total",
     "wildcard_candidate_fallbacks_total",
-    "scalar_downgrades_total",
     "estimated_cost_total",
 )
 
@@ -187,8 +184,6 @@ class PlannerCounters:
                 self._plans_top_down_total += 1
             if plan.uses_naive_text:
                 self._plans_naive_text_total += 1
-            if not plan.use_batch_kernels:
-                self._scalar_downgrades_total += 1
             if plan.estimated_cost is not None:
                 self._estimated_cost_total += float(plan.estimated_cost)
 
@@ -235,7 +230,6 @@ _PLANNER_HELP = {
     "plans_top_down_total": "Plans that chose the top-down automaton strategy.",
     "plans_naive_text_total": "Plans forced onto the naive text store (mixed content).",
     "wildcard_candidate_fallbacks_total": "Wildcard last steps costed via the element-count bound.",
-    "scalar_downgrades_total": "Plans that chose scalar kernels for tiny inputs.",
     "estimated_cost_total": "Sum of estimated plan costs (node-visit units).",
 }
 

@@ -188,7 +188,7 @@ def _serve_shard(
                     "doc_id": doc_id,
                     "strategy": result.plan.strategy,
                     "plan": result.plan.as_dict(),
-                    "cardinalities": document.engine.exact_cardinalities(plan, options),
+                    "cardinalities": document.engine.exact_cardinalities(plan),
                     "statistics": result.statistics.as_dict(),
                     "elapsed_seconds": result.elapsed_seconds,
                 }

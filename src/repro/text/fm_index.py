@@ -305,14 +305,8 @@ class FMIndex(Serializable):
             steps += 1
         return out
 
-    def locate_range(self, sp: int, ep: int, batch: bool = True) -> np.ndarray:
-        """Global positions of all suffixes in rows ``[sp, ep)`` (unsorted).
-
-        ``batch=False`` forces the scalar per-row walk (the reference
-        implementation the batched kernel is cross-checked against).
-        """
-        if not batch:
-            return np.array([self.locate_row(row) for row in range(sp, ep)], dtype=np.int64)
+    def locate_range(self, sp: int, ep: int) -> np.ndarray:
+        """Global positions of all suffixes in rows ``[sp, ep)`` (unsorted)."""
         return self.locate_rows_many(np.arange(sp, ep, dtype=np.int64))
 
     def locate(self, pattern: bytes) -> np.ndarray:

@@ -170,14 +170,14 @@ class TextCollection(Serializable):
         sp, ep = self._fm.backward_search(pattern)
         return self._fm.dollar_docs_in_range(sp, ep)
 
-    def ends_with(self, pattern: bytes | str, batch: bool = True) -> np.ndarray:
+    def ends_with(self, pattern: bytes | str) -> np.ndarray:
         """Identifiers of texts that end with ``pattern`` (sorted)."""
         pattern = self._as_bytes(pattern)
         if not pattern:
             return np.arange(self._num_texts, dtype=np.int64)
         sp, ep = self._fm.dollar_row_range(0, self._num_texts - 1)
         sp, ep = self._fm.backward_search(pattern, sp, ep)
-        positions = self._fm.locate_range(sp, ep, batch=batch)
+        positions = self._fm.locate_range(sp, ep)
         return np.unique(self._fm.positions_to_docs(positions))
 
     def equals(self, pattern: bytes | str) -> np.ndarray:
@@ -188,19 +188,18 @@ class TextCollection(Serializable):
             sp, ep = self._fm.backward_search(pattern, sp, ep)
         return self._fm.dollar_docs_in_range(sp, ep)
 
-    def contains(self, pattern: bytes | str, batch: bool = True) -> np.ndarray:
+    def contains(self, pattern: bytes | str) -> np.ndarray:
         """Identifiers of texts containing ``pattern`` (sorted, deduplicated).
 
-        With ``batch=True`` (the default) the occurrence rows are located in
-        one batched LF walk (:meth:`~repro.text.fm_index.FMIndex.locate_rows_many`)
-        and mapped to text identifiers with a single ``searchsorted``;
-        ``batch=False`` keeps the scalar per-row walk for cross-checking.
+        The occurrence rows are located in one batched LF walk
+        (:meth:`~repro.text.fm_index.FMIndex.locate_rows_many`) and mapped to
+        text identifiers with a single ``searchsorted``.
         """
         pattern = self._as_bytes(pattern)
         if not pattern:
             return np.arange(self._num_texts, dtype=np.int64)
         sp, ep = self._fm.backward_search(pattern)
-        positions = self._fm.locate_range(sp, ep, batch=batch)
+        positions = self._fm.locate_range(sp, ep)
         return np.unique(self._fm.positions_to_docs(positions))
 
     def contains_count(self, pattern: bytes | str) -> int:
@@ -260,7 +259,7 @@ class TextCollection(Serializable):
             return self.contains(pattern)
         return self._plain.contains(self._as_bytes(pattern))
 
-    def contains_auto(self, pattern: bytes | str, cutoff: int = 20_000, batch: bool = True) -> np.ndarray:
+    def contains_auto(self, pattern: bytes | str, cutoff: int = 20_000) -> np.ndarray:
         """``contains`` with the paper's strategy switch.
 
         The cheap global count decides whether to report over the FM-index
@@ -270,4 +269,4 @@ class TextCollection(Serializable):
         pattern = self._as_bytes(pattern)
         if self._plain is not None and self.global_count(pattern) > cutoff:
             return self._plain.contains(pattern)
-        return self.contains(pattern, batch=batch)
+        return self.contains(pattern)

@@ -423,25 +423,3 @@ class SuccinctTree(Serializable):
         firsts = self._text_bitmap.rank1_many(starts)
         lasts = self._text_bitmap.rank1_many(self.close_many(starts) + 1)
         return firsts, lasts
-
-    def tagged_desc_many(self, x: int, tags: Sequence[int] | np.ndarray) -> np.ndarray:
-        """:meth:`tagged_desc` for one node over many tags (:data:`NIL` where none)."""
-        tags = np.asarray(tags, dtype=np.int64)
-        out = np.full(tags.size, NIL, dtype=np.int64)
-        close = self.close(x)
-        for slot, tag in enumerate(tags):
-            candidate = self._tags.next_occurrence(int(tag), x + 1)
-            if candidate != -1 and candidate <= close:
-                out[slot] = candidate
-        return out
-
-    def tagged_foll_many(self, x: int, tags: Sequence[int] | np.ndarray) -> np.ndarray:
-        """:meth:`tagged_foll` for one node over many tags (:data:`NIL` where none)."""
-        tags = np.asarray(tags, dtype=np.int64)
-        out = np.full(tags.size, NIL, dtype=np.int64)
-        after = self.close(x) + 1
-        for slot, tag in enumerate(tags):
-            candidate = self._tags.next_occurrence(int(tag), after)
-            if candidate != -1:
-                out[slot] = candidate
-        return out

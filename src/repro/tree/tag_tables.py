@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import BinaryIO
 
-import numpy as np
-
 from repro.core.errors import CorruptedFileError
 from repro.storage.codec import ChunkReader, ChunkWriter, Serializable
 from repro.tree.succinct_tree import SuccinctTree
@@ -161,32 +159,6 @@ class TagPositionTables(Serializable):
     def descendants_of(self, tag: int) -> set[int]:
         """The set of tags occurring below ``tag``-labelled nodes (a copy)."""
         return set(self._descendants[tag]) if 0 <= tag < self._num_tags else set()
-
-    def descendant_mask(self, of_tag: int) -> np.ndarray:
-        """Boolean mask over tag identifiers: ``mask[tag]`` iff ``tag`` occurs below ``of_tag``.
-
-        Cached per ``of_tag`` so the evaluator's jump filtering reduces to one
-        vectorised gather (see :meth:`occurs_as_descendant_many`).
-        """
-        cache = getattr(self, "_descendant_masks", None)
-        if cache is None:
-            cache = self._descendant_masks = {}
-        mask = cache.get(of_tag)
-        if mask is None:
-            mask = np.zeros(self._num_tags, dtype=bool)
-            if 0 <= of_tag < self._num_tags and self._descendants[of_tag]:
-                mask[np.fromiter(self._descendants[of_tag], dtype=np.int64)] = True
-            cache[of_tag] = mask
-        return mask
-
-    def occurs_as_descendant_many(self, of_tag: int, tags: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`occurs_as_descendant` over an array of ``tags``."""
-        tags = np.asarray(tags, dtype=np.int64)
-        mask = self.descendant_mask(of_tag)
-        valid = (tags >= 0) & (tags < self._num_tags)
-        out = np.zeros(tags.size, dtype=bool)
-        out[valid] = mask[tags[valid]]
-        return out
 
     def is_recursive(self, tag: int) -> bool:
         """Whether ``tag`` can occur below itself (drives the Table VI discussion)."""

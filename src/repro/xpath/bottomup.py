@@ -216,9 +216,6 @@ class BottomUpEvaluator:
     anchor: list[BuiltinPredicate]
     predicate_runtime: TextPredicateRuntime
     stats: EvaluationStatistics = field(default_factory=EvaluationStatistics)
-    #: Collect candidates through the vectorised tree kernels (one numpy call
-    #: per ancestor level) instead of one Python parent-chain walk per seed.
-    batch_kernels: bool = True
 
     def __post_init__(self) -> None:
         self._tree = self.document.tree
@@ -227,12 +224,6 @@ class BottomUpEvaluator:
         self.stats.strategy = "bottom-up"
 
     # -- seeds --------------------------------------------------------------------------------------
-
-    def _seed_text_ids(self) -> set[int]:
-        seeds: set[int] = set()
-        for predicate in self.anchor:
-            seeds |= self.predicate_runtime.matching_text_ids(predicate)
-        return seeds
 
     def _seed_text_id_array(self) -> np.ndarray:
         """The union of the anchors' matching text identifiers, as a sorted array."""
@@ -283,32 +274,6 @@ class BottomUpEvaluator:
         return result
 
     # -- candidate collection ----------------------------------------------------------------------------
-
-    def _collect_candidates_scalar(self, last_step: Step) -> list[int]:
-        """One parent-chain walk per seed (the reference scalar path)."""
-        tree = self._tree
-        at_tag = tree.tag_id("@")
-        candidates: set[int] = set()
-        for text_id in self._seed_text_ids():
-            self.stats.select_calls += 1
-            leaf = tree.node_of_text(text_id)
-            self.stats.visited_nodes += 1
-            chain: list[int] = []
-            node = leaf
-            while node != NIL:
-                chain.append(node)
-                node = tree.parent(node)
-            # Walk the chain root-to-leaf: everything below an '@' container
-            # lives in an attribute subtree, which the child/descendant spine
-            # axes never select (an attribute-value seed still validates its
-            # host element and the ancestors above it).
-            inside_attributes = False
-            for node in reversed(chain):
-                if not inside_attributes and self._matches_step_test(node, last_step):
-                    candidates.add(node)
-                if tree.tag(node) == at_tag:
-                    inside_attributes = True
-        return sorted(candidates)
 
     @staticmethod
     def _membership(values: np.ndarray, sorted_array: np.ndarray) -> np.ndarray:
@@ -362,12 +327,12 @@ class BottomUpEvaluator:
         out[has_preceding] = reach[preceding[has_preceding] - 1] > nodes[has_preceding]
         return out
 
-    def _collect_candidates_batch(self, last_step: Step) -> list[int]:
+    def _collect_candidates(self, last_step: Step) -> list[int]:
         """Array-valued candidate collection: seeds -> leaves -> ancestor closure.
 
         The ancestor closure is computed level by level with one
-        ``parent_many`` call per tree level (shared ancestors are deduplicated
-        each round, giving the same work sharing as the memoised scalar walk).
+        ``parent_many`` call per tree level; shared ancestors are deduplicated
+        each round, so each one is visited once however many seeds lie below it.
         """
         tree = self._tree
         seeds = self._seed_text_id_array()
@@ -397,10 +362,7 @@ class BottomUpEvaluator:
         last_step = steps[last_index]
         self.stats.used_fm_index = True
 
-        if self.batch_kernels:
-            candidates = self._collect_candidates_batch(last_step)
-        else:
-            candidates = self._collect_candidates_scalar(last_step)
+        candidates = self._collect_candidates(last_step)
 
         results: list[int] = []
         for candidate in candidates:

@@ -19,14 +19,6 @@ touch (a rank/select-backed navigation step).  That makes the estimate
 directly comparable to ``EvaluationStatistics.visited_nodes``, which is what
 the workload analytics and the ``bench_planner_cost`` leg use to hold the
 model to estimated-vs-actual account.
-
-The same estimates drive the batch-versus-scalar kernel choice, generalising
-the measured 512-row FM-locate fallback of PR 5: the numpy ``*_many`` kernels
-amortise their dispatch overhead over the input array, so tiny inputs run the
-scalar path (:func:`use_batch_kernels`).  The cutoffs are deliberately
-conservative -- well below the input sizes where the batch kernels win in
-``BENCH_pr5.json`` -- so the downgrade only fires where batching demonstrably
-cannot pay for itself.
 """
 
 from __future__ import annotations
@@ -46,23 +38,11 @@ from repro.xpath.ast import (
 
 __all__ = [
     "CostEstimate",
-    "BOTTOM_UP_SCALAR_CUTOFF",
-    "TOP_DOWN_SCALAR_CUTOFF",
     "depth_hint",
     "element_candidate_bound",
     "step_cardinality",
     "estimate_plan_costs",
-    "use_batch_kernels",
 ]
-
-#: Bottom-up runs with fewer seed texts than this use the scalar candidate
-#: collection: an ancestor walk over a handful of nodes cannot amortise the
-#: numpy dispatch overhead of the ``*_many`` kernels.
-BOTTOM_UP_SCALAR_CUTOFF = 16
-
-#: Top-down runs over documents smaller than this many tree nodes use the
-#: scalar automaton loops for the same reason.
-TOP_DOWN_SCALAR_CUTOFF = 256
 
 #: Fraction of the document's element nodes the top-down automaton touches
 #: regardless of the query: the jump-driven run maintains a frontier over the
@@ -201,10 +181,3 @@ def estimate_plan_costs(
     elif spine:
         result = int(last)
     return CostEstimate(top_down=top_down, bottom_up=bottom_up, result=result, depth=depth)
-
-
-def use_batch_kernels(strategy: str, seeds: int | None, num_nodes: int) -> bool:
-    """Whether the vectorised kernels pay off for this plan's input sizes."""
-    if strategy == "bottom-up":
-        return seeds is None or seeds >= BOTTOM_UP_SCALAR_CUTOFF
-    return int(num_nodes) >= TOP_DOWN_SCALAR_CUTOFF

@@ -111,9 +111,7 @@ class XPathEngine:
         """
         options = options or EvaluationOptions()
         prepared = self.prepare(query)
-        runtime = TextPredicateRuntime(
-            self._document, EvaluationStatistics(), batch_kernels=options.batch_kernels
-        )
+        runtime = TextPredicateRuntime(self._document, EvaluationStatistics())
         planner = QueryPlanner(self._document, runtime, plan_cache=self._plan_cache)
         return planner.plan(
             prepared.ast,
@@ -127,7 +125,7 @@ class XPathEngine:
         prepared = self.prepare(query)
         compiled = self.compile(prepared)
         stats = EvaluationStatistics()
-        runtime = TextPredicateRuntime(self._document, stats, batch_kernels=options.batch_kernels)
+        runtime = TextPredicateRuntime(self._document, stats)
         plan = QueryPlanner(self._document, runtime).plan(prepared.ast, options.allow_bottom_up)
         lines = [f"query: {prepared.text}", f"strategy: {plan.describe()}"]
         lines.extend(f"  note: {reason}" for reason in plan.reasons)
@@ -141,7 +139,7 @@ class XPathEngine:
     ) -> QueryResult:
         started = time.perf_counter()
         stats = EvaluationStatistics()
-        runtime = TextPredicateRuntime(self._document, stats, batch_kernels=options.batch_kernels)
+        runtime = TextPredicateRuntime(self._document, stats)
         tracer = get_tracer()
         with tracer.span("engine.query") as query_span:
             with tracer.span("engine.parse"):
@@ -160,9 +158,6 @@ class XPathEngine:
                 plan_span.set_attribute("estimated_cost", plan.estimated_cost)
                 plan_span.set_attribute("reasons", list(plan.reasons))
             stats.strategy = plan.strategy
-            # The plan's batch-vs-scalar choice (tiny inputs run scalar) only
-            # ever *disables* batching; options keep the final veto.
-            effective_batch = options.batch_kernels and plan.use_batch_kernels
 
             if plan.strategy == "bottom-up":
                 with tracer.span("engine.evaluate", strategy="bottom-up") as eval_span:
@@ -172,7 +167,6 @@ class XPathEngine:
                         anchor=plan.anchor_predicates,
                         predicate_runtime=runtime,
                         stats=stats,
-                        batch_kernels=effective_batch,
                     )
                     nodes = evaluator.run()
                     count = len(nodes)
@@ -182,7 +176,7 @@ class XPathEngine:
                 with tracer.span("engine.bind"):
                     compiled = self.compile(prepared)
                 use_counting_mode = not want_nodes and compiled.count_safe
-                run_options = options.replace(counting=use_counting_mode, batch_kernels=effective_batch)
+                run_options = options.replace(counting=use_counting_mode)
                 with tracer.span(
                     "engine.evaluate", strategy="top-down", counting=use_counting_mode
                 ) as eval_span:
@@ -240,7 +234,7 @@ class XPathEngine:
             "strategy": plan.strategy,
             "estimated_cost": plan.estimated_cost,
             "plan": plan.as_dict(),
-            "cardinalities": self.exact_cardinalities(query, options),
+            "cardinalities": self.exact_cardinalities(query),
             "statistics": result.statistics.as_dict(),
             "count": result.count,
             "nodes": result.nodes if want_nodes else None,
@@ -248,16 +242,13 @@ class XPathEngine:
             "trace": root.to_dict(),
         }
 
-    def exact_cardinalities(
-        self, query: str | PreparedQuery, options: EvaluationOptions | None = None
-    ) -> dict:
+    def exact_cardinalities(self, query: str | PreparedQuery) -> dict:
         """Exact per-step and per-predicate input cardinalities of the plan heuristic.
 
         Step counts come from the tag sequence's rank directory
         (``TagSequence.rank``-backed ``tag_count``); text-predicate match
         counts come from FM-index ``count``/``locate``.
         """
-        options = options or EvaluationOptions()
         prepared = self.prepare(query)
         tree = self._document.tree
         steps = []
@@ -272,7 +263,7 @@ class XPathEngine:
             else:
                 tag_count = None
             steps.append({"step": f"{step.axis.value}::{step.test.describe()}", "tag_count": tag_count})
-        runtime = TextPredicateRuntime(self._document, batch_kernels=options.batch_kernels)
+        runtime = TextPredicateRuntime(self._document)
         predicates = []
         for predicate in collect_text_predicates(prepared.ast):
             builtin = as_builtin_predicate(predicate)

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.options import EvaluationOptions
 from repro.tree.succinct_tree import NIL
 from repro.xpath import formula as F
@@ -76,9 +74,7 @@ class TopDownEvaluator:
         self._automaton: Automaton = compiled.automaton
         self._options = options or EvaluationOptions()
         self._stats = stats or EvaluationStatistics()
-        self._predicates = predicate_runtime or TextPredicateRuntime(
-            document, self._stats, batch_kernels=self._options.batch_kernels
-        )
+        self._predicates = predicate_runtime or TextPredicateRuntime(document, self._stats)
         self._semiring: ResultSemiring = (
             CountingSemiring() if self._options.counting else MaterializingSemiring()
         )
@@ -88,7 +84,6 @@ class TopDownEvaluator:
         self._trans_cache: dict[tuple[frozenset[int], int], tuple[list, frozenset[int], frozenset[int]]] = {}
         self._jump_cache: dict[frozenset[int], frozenset[int] | None] = {}
         self._collect_cache: dict[frozenset[int], int | None] = {}
-        self._trigger_arrays: dict[frozenset[int], np.ndarray] = {}
 
     # -- public API ------------------------------------------------------------------------------
 
@@ -263,15 +258,6 @@ class TopDownEvaluator:
 
     # -- call resolution (jumping) ----------------------------------------------------------------------
 
-    def _trigger_array(self, states: frozenset[int], triggers: frozenset[int]) -> np.ndarray:
-        """The jumpable trigger labels as a sorted array of *real* tags (cached)."""
-        array = self._trigger_arrays.get(states)
-        if array is None:
-            real = sorted(tag for tag in triggers if tag < self._num_real_tags)
-            array = np.array(real, dtype=np.int64)
-            self._trigger_arrays[states] = array
-        return array
-
     def _resolve_down1(self, parent: int, states: frozenset[int]) -> tuple[int, int, frozenset[int]]:
         tree = self._tree
         if self._options.jumping:
@@ -279,15 +265,6 @@ class TopDownEvaluator:
             if triggers is not None:
                 self._stats.jumps += 1
                 parent_tag = tree.tag(parent)
-                if self._options.batch_kernels:
-                    tags = self._trigger_array(states, triggers)
-                    if self._options.use_tag_tables and tags.size:
-                        tags = tags[self._tables.occurs_as_descendant_many(parent_tag, tags)]
-                    self._stats.kernel_batch_calls += 1
-                    candidates = tree.tagged_desc_many(parent, tags)
-                    candidates = candidates[candidates != NIL]
-                    best = int(candidates.min()) if candidates.size else NIL
-                    return best, parent, states
                 best = NIL
                 for tag in triggers:
                     if tag >= self._num_real_tags:
@@ -309,15 +286,6 @@ class TopDownEvaluator:
                 self._stats.jumps += 1
                 close_limit = tree.close(limit)
                 limit_tag = tree.tag(limit)
-                if self._options.batch_kernels:
-                    tags = self._trigger_array(states, triggers)
-                    if self._options.use_tag_tables and tags.size:
-                        tags = tags[self._tables.occurs_as_descendant_many(limit_tag, tags)]
-                    self._stats.kernel_batch_calls += 1
-                    candidates = tree.tagged_foll_many(node, tags)
-                    candidates = candidates[(candidates != NIL) & (candidates < close_limit)]
-                    best = int(candidates.min()) if candidates.size else NIL
-                    return best, limit, states
                 best = NIL
                 for tag in triggers:
                     if tag >= self._num_real_tags:

@@ -41,7 +41,7 @@ from repro.xpath.ast import (
     TextTest,
     WildcardTest,
 )
-from repro.xpath.cost import CostEstimate, element_candidate_bound, estimate_plan_costs, use_batch_kernels
+from repro.xpath.cost import CostEstimate, element_candidate_bound, estimate_plan_costs
 from repro.xpath.formula import BuiltinPredicate
 from repro.xpath.runtime import TextPredicateRuntime
 
@@ -93,7 +93,6 @@ class QueryPlan:
     #: Cost-model outputs (node-visit units; see :mod:`repro.xpath.cost`).
     estimated_cost: float | None = None
     result_estimate: int | None = None
-    use_batch_kernels: bool = True
     cost: CostEstimate | None = None
 
     def describe(self) -> str:
@@ -117,7 +116,6 @@ class QueryPlan:
             "reasons": list(self.reasons),
             "estimated_cost": self.estimated_cost,
             "result_estimate": self.result_estimate,
-            "use_batch_kernels": self.use_batch_kernels,
             "costs": self.cost.as_dict() if self.cost is not None else None,
             "summary": self.describe(),
         }
@@ -242,7 +240,6 @@ class QueryPlanner:
         )
         plan.estimated_cost = plan.cost.for_strategy(plan.strategy)
         plan.result_estimate = plan.cost.result
-        plan.use_batch_kernels = use_batch_kernels(plan.strategy, plan.seed_estimate, tree.num_nodes)
         PLANNER_COUNTERS.record_plan(plan)
         return plan
 

@@ -39,7 +39,7 @@ class EvaluationStatistics:
     structures: ``rank_calls``/``select_calls`` count scalar engine-level
     operations (one navigation answered per call), while
     ``kernel_batch_calls`` counts batch-kernel *invocations* -- one
-    ``tagged_desc_many`` over ten thousand nodes is a single call.  The two
+    ``parent_many`` over ten thousand nodes is a single call.  The two
     are therefore deliberately not element-comparable.
     """
 
@@ -224,7 +224,7 @@ class _PredicatePlan:
     """Cached evaluation data for one built-in predicate."""
 
     #: Sorted text identifiers matching the predicate (the canonical form;
-    #: the batch engine paths and the planner consume this array directly).
+    #: the bottom-up seeds and the planner consume this array directly).
     matching_id_array: np.ndarray | None = None
     #: Same identifiers as a set, materialised lazily for membership tests.
     matching_text_ids: set[int] | None = None
@@ -242,10 +242,9 @@ class TextPredicateRuntime:
     queries M10/M11).
     """
 
-    def __init__(self, document, stats: EvaluationStatistics | None = None, batch_kernels: bool = True):
+    def __init__(self, document, stats: EvaluationStatistics | None = None):
         self._document = document
         self._stats = stats or EvaluationStatistics()
-        self._batch_kernels = bool(batch_kernels)
         self._plans: dict[tuple, _PredicatePlan] = {}
 
     # -- matching-id computation ------------------------------------------------------------------
@@ -254,14 +253,11 @@ class TextPredicateRuntime:
         document = self._document
         plan = _PredicatePlan()
         self._stats.text_queries += 1
-        if self._batch_kernels:
-            self._stats.kernel_batch_calls += 1
+        self._stats.kernel_batch_calls += 1
         with get_tracer().span(
             "engine.text_predicate", kind=predicate.kind, pattern=str(predicate.pattern)
         ) as span:
-            ids = document.match_text_predicate(
-                predicate.kind, predicate.pattern, predicate.threshold, batch_kernels=self._batch_kernels
-            )
+            ids = document.match_text_predicate(predicate.kind, predicate.pattern, predicate.threshold)
             plan.matching_id_array = np.unique(np.asarray(ids, dtype=np.int64))
             span.set_attribute("matching_texts", int(plan.matching_id_array.size))
         plan.uses_fm_index = True

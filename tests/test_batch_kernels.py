@@ -14,14 +14,15 @@ import random
 import numpy as np
 import pytest
 
+from repro.baseline import DomEngine
 from repro.bits.bitvector import BitVector
 from repro.bits.intarray import PackedIntArray
 from repro.bits.sparse import SparseBitVector
 from repro.core.document import Document
-from repro.core.options import EvaluationOptions
 from repro.sequence.runlength import RunLengthSequence
 from repro.sequence.wavelet_tree import WaveletTree
 from repro.text.fm_index import FMIndex
+from repro.xmlmodel.model import build_model
 
 RNG = np.random.default_rng(20260726)
 
@@ -200,6 +201,21 @@ def test_fm_index_batch_equals_scalar(factory, sample_rate):
     assert np.array_equal(fm.positions_to_docs(positions), [fm.position_to_doc(int(p))[0] for p in positions])
 
 
+LONG_TEXTS = [(b"abracadabra hello world %d " % i) * 3 for i in range(12)]
+
+
+@pytest.mark.parametrize("span", ["below-cutoff", "at-cutoff", "whole-index"])
+def test_locate_range_either_side_of_cutoff_equals_scalar(span):
+    # locate_range always goes through locate_rows_many, which picks the
+    # per-row or the lockstep walk by row count alone: both must agree with
+    # the scalar locate_row.
+    fm = FMIndex(LONG_TEXTS, sample_rate=16)
+    cutoff = fm._BATCH_LOCATE_CUTOFF
+    assert len(fm) > cutoff + 100
+    sp, ep = {"below-cutoff": (7, 6 + cutoff), "at-cutoff": (3, 3 + cutoff), "whole-index": (0, len(fm))}[span]
+    assert np.array_equal(fm.locate_range(sp, ep), [fm.locate_row(row) for row in range(sp, ep)])
+
+
 # ---------------------------------------------------------------------------
 # tree layer
 # ---------------------------------------------------------------------------
@@ -239,16 +255,6 @@ def test_tree_batch_navigation_equals_scalar(xml):
     if tree.num_texts:
         text_ids = np.arange(tree.num_texts)
         assert np.array_equal(tree.node_of_text_many(text_ids), [tree.node_of_text(int(i)) for i in text_ids])
-    all_tags = np.arange(tree.num_tags)
-    for x in opens[:: max(1, opens.size // 12)]:
-        x = int(x)
-        assert np.array_equal(tree.tagged_desc_many(x, all_tags), [tree.tagged_desc(x, int(t)) for t in all_tags])
-        assert np.array_equal(tree.tagged_foll_many(x, all_tags), [tree.tagged_foll(x, int(t)) for t in all_tags])
-    for of_tag in range(-1, tree.num_tags + 1):
-        assert np.array_equal(
-            document.tag_tables.occurs_as_descendant_many(of_tag, all_tags),
-            [document.tag_tables.occurs_as_descendant(of_tag, int(t)) for t in all_tags],
-        )
     # Batch kernels of the aligned tag sequence.
     tags_structure = tree.tag_sequence
     every_position = np.arange(len(tags_structure))
@@ -282,7 +288,7 @@ def test_balanced_parens_batch_equals_scalar():
 
 
 # ---------------------------------------------------------------------------
-# engine: batch path vs scalar path
+# engine: the batch kernels end to end, against the DOM engine
 # ---------------------------------------------------------------------------
 
 ENGINE_XML = (
@@ -305,9 +311,8 @@ ENGINE_QUERIES = [
 
 
 @pytest.mark.parametrize("query", ENGINE_QUERIES)
-def test_engine_batch_path_equals_scalar_path(query):
+def test_engine_matches_dom(query):
     document = Document.from_string(ENGINE_XML)
-    batch = document.query(query, EvaluationOptions(batch_kernels=True))
-    scalar = document.query(query, EvaluationOptions(batch_kernels=False))
-    assert batch == scalar
-    assert document.count(query, EvaluationOptions(batch_kernels=True)) == len(scalar)
+    dom = DomEngine(build_model(ENGINE_XML))
+    assert [document.tree.preorder(node) for node in document.query(query)] == dom.preorders(query)
+    assert document.count(query) == dom.count(query)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Document, EvaluationOptions
+from repro import Document
 from repro.client import ReproClient
 from repro.obs.counters import PLANNER_COUNTERS
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -27,7 +27,6 @@ from repro.xpath.cost import (
     CostEstimate,
     element_candidate_bound,
     estimate_plan_costs,
-    use_batch_kernels,
 )
 
 XML = (
@@ -89,21 +88,8 @@ class TestCostModel:
         assert cost.bottom_up is not None
         assert cost.bottom_up >= 1.0
 
-    def test_batch_kernel_choice(self):
-        assert use_batch_kernels("bottom-up", seeds=None, num_nodes=10**6)
-        assert use_batch_kernels("bottom-up", seeds=10_000, num_nodes=10**6)
-        assert not use_batch_kernels("bottom-up", seeds=3, num_nodes=10**6)
-        assert use_batch_kernels("top-down", seeds=None, num_nodes=10**6)
-        assert not use_batch_kernels("top-down", seeds=None, num_nodes=50)
-
-    def test_tiny_document_downgrades_to_scalar_without_changing_results(self, document):
-        # The whole document is far below both cutoffs, so plans downgrade to
-        # scalar kernels -- and counts must match the batch-forced run.
-        plan = document.engine.plan('//item[contains(., "gold")]')
-        assert not plan.use_batch_kernels
-        batch = document.count('//item[contains(., "gold")]', EvaluationOptions(batch_kernels=True))
-        scalar = document.count('//item[contains(., "gold")]', EvaluationOptions(batch_kernels=False))
-        assert batch == scalar == 2
+    def test_tiny_document_answers_exactly(self, document):
+        assert document.count('//item[contains(., "gold")]') == 2
 
 
 class TestEnginePlanExport:
@@ -117,7 +103,6 @@ class TestEnginePlanExport:
         data = document.engine.plan('//item[contains(., "gold")]').as_dict()
         assert data["estimated_cost"] is not None
         assert data["costs"]["unit"] == "node-visits"
-        assert "use_batch_kernels" in data
 
     def test_explain_reports_estimated_cost(self, document):
         record = document.engine.explain_data("//item/name")

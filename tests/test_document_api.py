@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Document, EvaluationOptions, IndexOptions, UnsupportedQueryError
@@ -60,6 +62,20 @@ class TestConstruction:
         assert options.sample_rate == 8
         run = EvaluationOptions().replace(jumping=False)
         assert not run.jumping and run.memoization
+
+    def test_evaluation_options_are_the_ablation_switches(self):
+        # One engine path: the only switches are the Fig. 12 ablations, the
+        # bottom-up permission and counting mode. A kernel-selection option
+        # must not come back.
+        assert [f.name for f in dataclasses.fields(EvaluationOptions)] == [
+            "jumping",
+            "memoization",
+            "lazy_result_sets",
+            "early_evaluation",
+            "use_tag_tables",
+            "allow_bottom_up",
+            "counting",
+        ]
 
 
 class TestStatisticsAndSizes:

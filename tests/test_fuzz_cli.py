@@ -19,8 +19,8 @@ def test_runner_clean_sweep_reports_stats():
     assert report.ok
     assert report.iterations == 12
     assert report.documents >= 3
-    # One engine check per EVAL_MATRIX entry (incl. scalar-kernels) + counting.
-    assert report.stats.layers.get("engine", 0) == 12 * 6
+    # One engine check per EVAL_MATRIX entry + counting.
+    assert report.stats.layers.get("engine", 0) == 12 * 5
     assert "12 iterations" in report.summary()
 
 

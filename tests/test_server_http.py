@@ -203,10 +203,13 @@ def test_validation_errors(server, client):
     with pytest.raises(ApiError) as excinfo:
         client._json("POST", "/v1/query/batch", {"queries": []})
     assert excinfo.value.status == 400
-    with pytest.raises(ApiError) as excinfo:
-        client._json("POST", "/v1/query", {"query": "//item", "options": {"bogus_knob": True}})
-    assert excinfo.value.status == 400
-    assert "bogus_knob" in str(excinfo.value)
+    # Options are checked strictly against EvaluationOptions; batch_kernels
+    # was removed and must be rejected, not silently ignored.
+    for knob in ("bogus_knob", "batch_kernels"):
+        with pytest.raises(ApiError) as excinfo:
+            client._json("POST", "/v1/query", {"query": "//item", "options": {knob: False}})
+        assert excinfo.value.status == 400
+        assert knob in str(excinfo.value)
     # Malformed JSON body.
     status, data = client._request("POST", "/v1/query", raw_body=b"{nope")
     assert status == 400
