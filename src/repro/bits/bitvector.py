@@ -222,8 +222,7 @@ class BitVector(Serializable):
             i += self._length
         if not 0 <= i < self._length:
             raise IndexError(f"bit index {i} out of range for length {self._length}")
-        word = int(self._words[i // _WORD_BITS])
-        return (word >> (i % _WORD_BITS)) & 1
+        return (self._words.item(i >> 6) >> (i & 63)) & 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):
@@ -271,11 +270,9 @@ class BitVector(Serializable):
         if i >= self._length:
             return self._total_ones
         word_idx, bit_idx = divmod(i, _WORD_BITS)
-        result = int(self._rank_blocks[word_idx])
+        result = self._rank_blocks.item(word_idx)
         if bit_idx:
-            word = int(self._words[word_idx])
-            mask = (1 << bit_idx) - 1
-            result += (word & mask).bit_count()
+            result += (self._words.item(word_idx) & ((1 << bit_idx) - 1)).bit_count()
         return result
 
     def rank0(self, i: int) -> int:

@@ -9,17 +9,28 @@ in ``2n + o(n)`` bits with support for
 * ``rank_open`` / ``select_open`` -- preorder numbering,
 * ``excess`` -- nesting depth.
 
-The ``o(n)``-bit directory is a two-level range-min-max structure over the
-excess function: blocks of 64 positions and super-blocks of 64 blocks store
-the minimum/maximum excess reached inside them, which is enough to answer the
-forward/backward excess searches that ``find_close`` and ``enclose`` reduce
-to (Sadakane & Navarro 2010).  Because the excess changes by exactly one per
-position, a block contains a target excess value iff the target lies between
-the block's minimum and maximum.
+All three navigation queries reduce to one forward or backward search for a
+target excess (Sadakane & Navarro, SODA 2010; Arroyuelo, Canovas, Navarro &
+Sadakane, "Succinct Trees in Practice", ALENEX 2010):
+
+* Inside a packed 64-bit word the search crosses one byte at a time, with
+  256-entry tables of each byte's excess delta, its minimum and maximum
+  prefix excess, and the first and last offset at which every relative
+  excess in ``[-8, 8]`` is reached.
+* Across words it uses the ``o(n)``-bit range-min-max directory: blocks of 64
+  positions (one word each) and super-blocks of 64 blocks store the
+  minimum/maximum excess reached inside them.  Because the excess changes by
+  exactly one per position, the first block in search direction whose
+  extreme reaches the target holds the answer; one numpy comparison per
+  level finds it.
+
+The search reads the bitmap's packed words and rank directory in place, so a
+mapped structure keeps its pages shared, and it builds nothing at query time.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
@@ -30,8 +41,81 @@ from repro.storage.codec import ChunkReader, ChunkWriter, Serializable
 
 __all__ = ["BalancedParentheses"]
 
-_BLOCK = 64
+_BLOCK = 64  # positions per block: one packed word
 _SUPER = 64  # blocks per super-block
+_WORD_MASK = (1 << 64) - 1
+
+
+def _byte_tables() -> tuple[tuple[int, ...], ...]:
+    """Excess tables over the 256 bytes, bit ``k`` being the byte's ``k``-th position.
+
+    ``prefix(k)`` is the excess change over offsets ``0..k``.  Returns the
+    byte's delta ``prefix(7)``, the min and max of ``prefix``, and the first
+    and last ``k`` with ``prefix(k) == d``, indexed ``(d + 8) << 8 | byte``.
+    """
+    delta, low, high = [], [], []
+    first, last = [8] * (17 << 8), [-1] * (17 << 8)
+    for byte in range(256):
+        prefix = list(accumulate(1 if byte >> k & 1 else -1 for k in range(8)))
+        delta.append(prefix[-1])
+        low.append(min(prefix))
+        high.append(max(prefix))
+        for k, d in enumerate(prefix):
+            slot = (d + 8) << 8 | byte
+            first[slot] = min(first[slot], k)
+            last[slot] = k
+    return tuple(delta), tuple(low), tuple(high), tuple(first), tuple(last)
+
+
+_DELTA, _MIN, _MAX, _FIRST, _LAST = _byte_tables()
+
+
+def _fwd_in_word(bits: int, d: int, nbits: int) -> int:
+    """First offset of the 64-bit ``bits`` whose prefix excess is ``d``.
+
+    Only the bytes covering offsets ``[0, nbits)`` are crossed; returns an
+    offset of at least ``nbits`` when none of them reaches ``d``.
+    """
+    for base in range(0, nbits, 8):
+        byte = bits >> base & 255
+        if _MIN[byte] <= d <= _MAX[byte]:
+            return base + _FIRST[(d + 8) << 8 | byte]
+        d -= _DELTA[byte]
+    return 64
+
+
+def _bwd_in_word(bits: int, d: int, low: int) -> int:
+    """Last offset of the 64-bit ``bits`` whose excess, relative to the excess
+    at offset 63, is ``d``.
+
+    Only the bytes covering offsets ``[low, 64)`` are crossed; returns an
+    offset below ``low`` when none of them reaches ``d``.
+    """
+    for base in range(56, (low & ~7) - 1, -8):
+        byte = bits >> base & 255
+        d += _DELTA[byte]  # now relative to the excess before the byte
+        if _MIN[byte] <= d <= _MAX[byte]:
+            return base + _LAST[(d + 8) << 8 | byte]
+    return -1
+
+
+def _reaches(extremes: int | np.ndarray, target: int, above: bool) -> bool | np.ndarray:
+    """Whether a range whose minimum (coming from ``above``) or maximum
+    (coming from below) is ``extremes`` contains ``target``; elementwise on arrays."""
+    return extremes <= target if above else extremes >= target
+
+
+def _nearest_reaching(extremes: np.ndarray, lo: int, hi: int, target: int, above: bool, forward: bool) -> int:
+    """First (``forward``) or last index in ``[lo, hi)`` whose extreme reaches
+    ``target``, or ``-1``.  The nearest entry is tested on its own first: most
+    searches end there."""
+    if lo >= hi:
+        return -1
+    nearest = lo if forward else hi - 1
+    if _reaches(extremes.item(nearest), target, above):
+        return nearest
+    hits = np.flatnonzero(_reaches(extremes[lo:hi], target, above))
+    return lo + int(hits[0 if forward else -1]) if hits.size else -1
 
 
 class BalancedParentheses(Serializable):
@@ -54,28 +138,16 @@ class BalancedParentheses(Serializable):
         if self._length and self._bv.count_ones * 2 != self._length:
             raise ValueError("parentheses sequence is not balanced (unequal open/close counts)")
 
-        # Per-position excess deltas, then block/super-block min-max directory.
-        deltas = np.where(bits, 1, -1).astype(np.int64)
-        excess = np.cumsum(deltas)
+        # Per-position excess, then the block/super-block min-max directory.
+        excess = np.cumsum(np.where(bits, 1, -1).astype(np.int64))
         if self._length and (excess[-1] != 0 or excess.min() < 0):
             raise ValueError("parentheses sequence is not balanced")
-        n_blocks = (self._length + _BLOCK - 1) // _BLOCK
-        self._block_min = np.zeros(n_blocks, dtype=np.int64)
-        self._block_max = np.zeros(n_blocks, dtype=np.int64)
-        for b in range(n_blocks):
-            lo = b * _BLOCK
-            hi = min(lo + _BLOCK, self._length)
-            chunk = excess[lo:hi]
-            self._block_min[b] = chunk.min()
-            self._block_max[b] = chunk.max()
-        n_super = (n_blocks + _SUPER - 1) // _SUPER
-        self._super_min = np.zeros(n_super, dtype=np.int64)
-        self._super_max = np.zeros(n_super, dtype=np.int64)
-        for s in range(n_super):
-            lo = s * _SUPER
-            hi = min(lo + _SUPER, n_blocks)
-            self._super_min[s] = self._block_min[lo:hi].min()
-            self._super_max[s] = self._block_max[lo:hi].max()
+        block_starts = np.arange(0, self._length, _BLOCK)
+        super_starts = np.arange(0, block_starts.size, _SUPER)
+        self._block_min = np.minimum.reduceat(excess, block_starts)
+        self._block_max = np.maximum.reduceat(excess, block_starts)
+        self._super_min = np.minimum.reduceat(self._block_min, super_starts)
+        self._super_max = np.maximum.reduceat(self._block_max, super_starts)
 
     # -- persistence --------------------------------------------------------------------
 
@@ -149,10 +221,6 @@ class BalancedParentheses(Serializable):
         """Number of opening parentheses in positions ``[0, i)``."""
         return self._bv.rank1(i)
 
-    def rank_close(self, i: int) -> int:
-        """Number of closing parentheses in positions ``[0, i)``."""
-        return self._bv.rank0(i)
-
     def select_open(self, j: int) -> int:
         """Position of the ``j``-th opening parenthesis (1-based)."""
         return self._bv.select1(j)
@@ -182,63 +250,46 @@ class BalancedParentheses(Serializable):
 
     # -- excess searches ---------------------------------------------------------------------------
 
-    def _scan_forward(self, start: int, end: int, excess_before: int, target: int) -> tuple[int, int]:
-        """Scan positions ``[start, end)``; return (position, excess) when the
-        running excess hits ``target``, else (-1, final excess)."""
-        current = excess_before
-        for pos in range(start, end):
-            current += 1 if self._bv[pos] else -1
-            if current == target:
-                return pos, current
-        return -1, current
+    def _excess_before_word(self, w: int) -> int:
+        """Excess over positions ``[0, 64 w)``."""
+        return 2 * self._bv._rank_blocks.item(w) - _BLOCK * w
 
-    def _scan_backward(self, start: int, end: int, excess_after: int, target: int) -> tuple[int, int]:
-        """Scan positions ``(end, start]`` right-to-left; ``excess_after`` is the
-        excess at position ``start``.  Return (position, excess) for the largest
-        position < ``start`` + 1 ... formally: find the largest ``j`` in
-        ``[end, start]`` with ``excess(j) == target``."""
-        current = excess_after
-        for pos in range(start, end - 1, -1):
-            if current == target:
-                return pos, current
-            current -= 1 if self._bv[pos] else -1
-        return -1, current
+    def _nearest_block(self, block: int, target: int, above: bool, forward: bool) -> int:
+        """The block nearest to ``block`` (itself included) in search direction
+        that contains ``target``, or ``-1``.
+
+        The excess moves by one per position, so when the walk comes from
+        ``above`` (below) the target, the nearest block whose minimum
+        (maximum) reaches it holds the answer: one numpy comparison per level.
+        """
+        extremes, supers = (self._block_min, self._super_min) if above else (self._block_max, self._super_max)
+        s = block // _SUPER
+        lo, hi = (block, (s + 1) * _SUPER) if forward else (s * _SUPER, block + 1)
+        found = _nearest_reaching(extremes, lo, min(hi, extremes.size), target, above, forward)
+        if found < 0:
+            lo, hi = (s + 1, supers.size) if forward else (0, s)
+            s = _nearest_reaching(supers, lo, hi, target, above, forward)
+            if s >= 0:
+                hi = min((s + 1) * _SUPER, extremes.size)
+                found = _nearest_reaching(extremes, s * _SUPER, hi, target, above, forward)
+        return found
 
     def fwd_search(self, i: int, target: int) -> int:
         """Smallest ``j > i`` with ``excess(j) == target``, or ``-1`` if none."""
-        if i >= self._length - 1:
-            return -1
         start = i + 1
-        current = self.excess(i)
-        block = start // _BLOCK
-        block_end = min((block + 1) * _BLOCK, self._length)
-        pos, current = self._scan_forward(start, block_end, current, target)
-        if pos != -1:
-            return pos
-        # Walk blocks, super-block by super-block.
-        n_blocks = self._block_min.size
-        b = block + 1
-        while b < n_blocks:
-            s = b // _SUPER
-            s_first = s * _SUPER
-            if b == s_first and (self._super_min[s] > target or self._super_max[s] < target):
-                b = (s + 1) * _SUPER
-                continue
-            s_end = min((s + 1) * _SUPER, n_blocks)
-            found_block = -1
-            for bb in range(b, s_end):
-                if self._block_min[bb] <= target <= self._block_max[bb]:
-                    found_block = bb
-                    break
-            if found_block == -1:
-                b = s_end
-                continue
-            lo = found_block * _BLOCK
-            hi = min(lo + _BLOCK, self._length)
-            excess_before = self.excess(lo - 1) if lo else 0
-            pos, _ = self._scan_forward(lo, hi, excess_before, target)
-            return pos
-        return -1
+        if start >= self._length or target < 0:  # no position has negative excess
+            return -1
+        w, off = start >> 6, start & 63
+        word = self._bv._words.item(w)
+        before = self._excess_before_word(w) + 2 * (word & ((1 << off) - 1)).bit_count() - off
+        k = _fwd_in_word(word >> off, target - before, 64 - off)
+        if k < 64 - off:
+            return start + k
+        b = self._nearest_block(w + 1, target, self._excess_before_word(w + 1) > target, True)
+        if b < 0:
+            return -1
+        before = self._excess_before_word(b)
+        return _BLOCK * b + _fwd_in_word(self._bv._words.item(b), target - before, _BLOCK)
 
     def bwd_search(self, i: int, target: int) -> int:
         """Largest ``j < i`` with ``excess(j) == target``, or ``-1`` if none.
@@ -247,34 +298,25 @@ class BalancedParentheses(Serializable):
         position before the sequence (excess 0) is the match; callers such as
         :meth:`enclose` rely on that convention.
         """
-        if i <= 0:
+        if i <= 0 or target < 0:
             return -1
-        block = (i - 1) // _BLOCK
-        block_start = block * _BLOCK
-        pos, _ = self._scan_backward(i - 1, block_start, self.excess(i - 1), target)
-        if pos != -1:
-            return pos
-        b = block - 1
-        while b >= 0:
-            s = b // _SUPER
-            s_last = min((s + 1) * _SUPER, self._block_min.size) - 1
-            if b == s_last and (self._super_min[s] > target or self._super_max[s] < target):
-                b = s * _SUPER - 1
-                continue
-            s_first = s * _SUPER
-            found_block = -1
-            for bb in range(b, s_first - 1, -1):
-                if self._block_min[bb] <= target <= self._block_max[bb]:
-                    found_block = bb
-                    break
-            if found_block == -1:
-                b = s_first - 1
-                continue
-            lo = found_block * _BLOCK
-            hi = min(lo + _BLOCK, self._length) - 1
-            pos, _ = self._scan_backward(hi, lo, self.excess(hi), target)
-            return pos
-        return -1
+        last = i - 1
+        w, off = last >> 6, last & 63
+        word = self._bv._words.item(w)
+        after = self._excess_before_word(w) + 2 * (word & ((2 << off) - 1)).bit_count() - off - 1
+        # Shift `last` to bit 63; the zeros shifted in below it can only
+        # produce a match at an offset under `low`.
+        low = 63 - off
+        k = _bwd_in_word((word << low) & _WORD_MASK, target - after, low)
+        if k >= low:
+            return last - 63 + k
+        if w == 0:
+            return -1
+        b = self._nearest_block(w - 1, target, self._excess_before_word(w) >= target, False)
+        if b < 0:
+            return -1
+        after = self._excess_before_word(b + 1)
+        return _BLOCK * b + _bwd_in_word(self._bv._words.item(b), target - after, 0)
 
     # -- matching / enclosing ---------------------------------------------------------------------------
 
@@ -297,8 +339,6 @@ class BalancedParentheses(Serializable):
         """
         if not self.is_open(i):
             raise ValueError(f"position {i} does not hold an opening parenthesis")
-        if i == 0:
-            return -1
         target = self.excess(i) - 2
         if target < 0:
             return -1

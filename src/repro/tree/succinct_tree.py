@@ -72,17 +72,15 @@ class SuccinctTree(Serializable):
         # Split into opening/closing views for the tag sequence.
         open_tags = np.full(length, -1, dtype=np.int64)
         closing_tags = np.full(length, -1, dtype=np.int64)
-        open_positions = np.array([i for i in range(length) if self._par.is_open(i)], dtype=np.int64)
+        open_positions = np.flatnonzero(self._par.to_numpy())
         open_tags[open_positions] = tags[open_positions]
-        for pos in open_positions:
-            closing_tags[self._par.find_close(int(pos))] = tags[pos]
+        closing_tags[self.close_many(open_positions)] = tags[open_positions]
         self._tags = TagSequence(open_tags, num_tags, closing_tags)
 
         # Leaf bitmap B: marks opening parentheses of text-carrying leaves.
         self._text_bitmap = BitVector.from_positions(sorted(int(p) for p in text_leaf_positions), length)
         self._num_texts = self._text_bitmap.count_ones
         self._num_nodes = length // 2
-        self._nav: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- persistence --------------------------------------------------------------------------
 
@@ -115,7 +113,6 @@ class SuccinctTree(Serializable):
         # bitmap's rank directory before any query needs it.
         tree._num_texts = tree._text_bitmap.count_ones if reader.deep_checks else None
         tree._num_nodes = len(tree._par) // 2
-        tree._nav = None
         return tree
 
     def text_leaf_positions(self) -> list[int]:
@@ -328,70 +325,29 @@ class SuccinctTree(Serializable):
         """Global (preorder) identifier of node ``x``."""
         return self.preorder(x)
 
-    # -- batch navigation (vectorised kernels) ------------------------------------------------------------
+    # -- batch navigation ------------------------------------------------------------------------------------
     #
-    # The batch methods take numpy arrays of *opening-parenthesis* positions
-    # and answer them with a constant number of numpy operations.  The first
-    # batch call builds a navigation directory (the matching-close and parent
-    # position of every node, two int64 arrays derived from the parentheses
-    # bitmap in O(n log n) vectorised work).  The directory is an in-memory
-    # acceleration structure only: it is never serialised, the succinct core
-    # stays the source of truth, and the scalar methods above never touch it.
-
-    def _nav_directory(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (close positions, parent positions) arrays, built lazily."""
-        if self._nav is None:
-            bits = self._par.to_numpy()
-            n = bits.size
-            close_arr = np.full(n, NIL, dtype=np.int64)
-            parent_arr = np.full(n, NIL, dtype=np.int64)
-            if n:
-                excess = np.cumsum(np.where(bits, np.int64(1), np.int64(-1)))
-                opens = np.flatnonzero(bits)
-                closes = np.flatnonzero(~bits)
-                # The k-th open at depth d matches the k-th close whose excess
-                # is d - 1: same-depth subtrees are disjoint and ordered, so
-                # sorting both sides by depth (stably, keeping document order)
-                # aligns every pair.
-                open_depth = excess[opens]
-                close_depth = excess[closes] + 1
-                open_order = np.argsort(open_depth, kind="stable")
-                close_order = np.argsort(close_depth, kind="stable")
-                close_arr[opens[open_order]] = closes[close_order]
-                # Parent of an open at depth d: the latest open at depth d - 1
-                # before it; resolved depth by depth with one searchsorted.
-                sorted_opens = opens[open_order]
-                sorted_depth = open_depth[open_order]
-                for depth in range(2, int(sorted_depth[-1]) + 1):
-                    lo, hi = np.searchsorted(sorted_depth, (depth, depth + 1), side="left")
-                    plo = np.searchsorted(sorted_depth, depth - 1, side="left")
-                    children = sorted_opens[lo:hi]
-                    candidates = sorted_opens[plo:lo]
-                    parent_arr[children] = candidates[np.searchsorted(candidates, children) - 1]
-            self._nav = (close_arr, parent_arr)
-        return self._nav
+    # The batch methods take numpy arrays of *opening-parenthesis* positions.
+    # Rank, select, tag and leaf-bitmap lookups answer a whole array with a
+    # constant number of numpy operations.  ``close_many`` and ``parent_many``
+    # run the scalar ``find_close`` / ``enclose`` search per element: there is
+    # one navigation implementation, and it needs no structure beyond the
+    # serialised parentheses directory.
 
     def close_many(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`close` over an array of opening positions."""
-        close_arr, _ = self._nav_directory()
-        return close_arr[np.asarray(nodes, dtype=np.int64)]
+        """:meth:`close` of every node in an array of opening positions."""
+        starts = np.asarray(nodes, dtype=np.int64)
+        return np.fromiter(map(self._par.find_close, starts.tolist()), dtype=np.int64, count=starts.size)
 
     def parent_many(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`parent` (:data:`NIL` for the root)."""
-        _, parent_arr = self._nav_directory()
-        return parent_arr[np.asarray(nodes, dtype=np.int64)]
-
-    def subtree_interval_many(
-        self, nodes: Sequence[int] | np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Opening and matching closing positions of every node (two arrays)."""
+        """:meth:`parent` of every node (:data:`NIL` for the root)."""
         starts = np.asarray(nodes, dtype=np.int64)
-        return starts, self.close_many(starts)
+        return np.fromiter(map(self._par.enclose, starts.tolist()), dtype=np.int64, count=starts.size)
 
     def subtree_size_many(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorised :meth:`subtree_size`."""
-        starts, ends = self.subtree_interval_many(nodes)
-        return (ends - starts + 1) // 2
+        starts = np.asarray(nodes, dtype=np.int64)
+        return (self.close_many(starts) - starts + 1) // 2
 
     def preorder_many(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorised :meth:`preorder`."""
