@@ -16,10 +16,18 @@ Two kinds of tables are machine-checked:
   repro-coordinator -->``.  Every ``--flag`` token in a table's first
   column is compared against the ``argparse`` option strings of the
   matching CLI's ``build_parser()``.
+* **The metrics table** in ``docs/operations.md``, marked
+  ``<!-- metric-table: repro-serve -->``.  The script starts a
+  ``ReproServer`` on a loopback port over a one-document store, answers one
+  query through a 2-worker process ``QueryService``, scrapes ``/metrics`` and
+  reads the live registry.  Every live family must appear (by its full name,
+  in backticks, in the first column) with the documented type, which reads
+  ``<kind> (callback)`` for families computed at scrape time by a callback.
 
 A route or flag present in the code but missing from the docs fails, and so
 does a documented one the code no longer has -- renames must land in both
-places in the same commit.
+places in the same commit.  A metric family the run did not touch (such as
+``storage_v1_loads_total``) may be documented without being live.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 FLAG_RE = re.compile(r"--[\w][\w-]*")
+CODE_RE = re.compile(r"`([^`]*)`")
+FAMILY_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 def extract_table(markdown: str, marker: str, path: Path) -> list[list[str]]:
@@ -66,6 +76,21 @@ def documented_flags(markdown: str, name: str, path: Path) -> set[str]:
     return flags
 
 
+def documented_metrics(markdown: str, name: str, path: Path) -> dict[str, str]:
+    """``{family: type}`` from the metric table; every name must be spelled out in full."""
+    rows = extract_table(markdown, f"<!-- metric-table: {name} -->", path)
+    types: dict[str, str] = {}
+    for row in rows:
+        families = CODE_RE.findall(row[0])
+        if not families:
+            raise SystemExit(f"{path}: metric-table {name!r} row names no `family`: {row[0]!r}")
+        for family in families:
+            if not FAMILY_RE.match(family):
+                raise SystemExit(f"{path}: metric-table {name!r} names {family!r}, not a full family name")
+            types[family] = row[1]
+    return types
+
+
 def live_route_tables() -> dict[str, set[tuple[str, str]]]:
     from repro import DocumentStore, QueryService
     from repro.coordinator import CoordinatorServer
@@ -99,6 +124,35 @@ def live_flag_tables() -> dict[str, set[str]]:
     return tables
 
 
+def live_metric_table() -> dict[str, str]:
+    """``{family: type}`` of the registry behind ``repro-serve`` after one answered query."""
+    from repro import DocumentStore, QueryService
+    from repro.client import ReproClient
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.server import ReproServer
+
+    # A private registry: the route check above already built a coordinator,
+    # whose families belong to the other server's table.
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            store = DocumentStore(root)
+            store.add_xml("doc", "<site><item><name>gold ring</name></item><item><name>tin</name></item></site>")
+            with QueryService(DocumentStore(root), max_workers=2, executor="process") as service:
+                with ReproServer(service, port=0) as server, ReproClient(*server.address) as client:
+                    if client.run('//item[contains(name, "gold")]').total != 1:
+                        raise SystemExit("check_docs: the metrics probe query returned a wrong count")
+                    client.metrics()
+    finally:
+        set_registry(previous)
+    live = {}
+    for full_name in registry.snapshot():
+        family = registry.get(full_name[len(registry.namespace) + 1 :])
+        live[family.name] = family.kind + (" (callback)" if family.callback is not None else "")
+    return live
+
+
 def diff(kind: str, name: str, documented: set, live: set) -> list[str]:
     problems = []
     for item in sorted(live - documented):
@@ -123,6 +177,17 @@ def main() -> int:
         documented = documented_flags(ops_text, name, ops_doc)
         problems += diff("flag", name, documented, live)
         print(f"{name}: {len(live)} flags, {len(documented)} documented")
+
+    live_metrics = live_metric_table()
+    documented_types = documented_metrics(ops_text, "repro-serve", ops_doc)
+    for family, kind in sorted(live_metrics.items()):
+        if family not in documented_types:
+            problems.append(f"repro-serve: metric {family} ({kind}) exists in the code but is not documented")
+        elif documented_types[family] != kind:
+            problems.append(
+                f"repro-serve: metric {family} is a {kind} but documented as {documented_types[family]!r}"
+            )
+    print(f"repro-serve: {len(live_metrics)} live metric families, {len(documented_types)} documented")
 
     if problems:
         print()

@@ -1,16 +1,16 @@
-"""Observability: metrics, tracing, counters, workload analytics, logging.
+"""Observability: metrics, tracing, workload analytics, logging.
 
 The one layer every part of the serving stack reports into:
 
 * :mod:`repro.obs.metrics` -- the process-wide :class:`MetricsRegistry` of
   labeled counter/gauge/histogram families with Prometheus-text and JSON
-  rendering, plus the strict text-format parser the tests and the e2e smoke
-  validate ``/metrics`` with.
+  rendering, the counter deltas process-pool workers ship home, and the
+  strict text-format parser the tests and the e2e smoke validate
+  ``/metrics`` with.  The engine's ``repro_engine_*`` and the planner's
+  ``repro_planner_*`` totals are ordinary counter families on it.
 * :mod:`repro.obs.tracing` -- dependency-free nested spans with a global
   :class:`Tracer`, a ring buffer of finished traces, and a near-free disabled
   path (the :data:`NULL_SPAN` singleton).
-* :mod:`repro.obs.counters` -- process-wide engine totals (``repro_engine_*``
-  on ``/metrics``), folded in once per finished query.
 * :mod:`repro.obs.workload` -- per-query-shape latency/cardinality/strategy
   aggregates and the top-K slow-query table (``GET /v1/debug/workload``).
 * :mod:`repro.obs.resources` -- mapped-page residency via ``mincore`` plus
@@ -19,7 +19,6 @@ The one layer every part of the serving stack reports into:
   field passing, used for the server's access and slow-query logs.
 """
 
-from repro.obs.counters import ENGINE_COUNTERS, EngineCounters, register_engine_metrics
 from repro.obs.logging import JsonLineFormatter, KeyValueFormatter, configure_logging, get_logger
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -43,9 +42,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "current_span",
-    "EngineCounters",
-    "ENGINE_COUNTERS",
-    "register_engine_metrics",
     "MetricsRegistry",
     "get_registry",
     "set_registry",

@@ -8,14 +8,21 @@ their instruments here at import time, without knowing about the HTTP server;
 ``ServerMetrics`` (:mod:`repro.server.metrics`) is a thin façade that renders
 the same registry as the ``/metrics`` page.
 
-Design rules, in line with the ``EngineCounters`` discipline:
+Design rules:
 
 * **Updates are cheap and thread-safe** (one small lock per family), but they
-  still belong at query/load *completion*, never inside rank/select hot loops.
+  belong at query/load *completion*, never inside rank/select hot loops: the
+  engine folds each finished query's statistics into its ``engine_*``
+  counters once, through children resolved once per registry
+  (:class:`CounterGroup`).
 * **Scrape-time values go through callbacks**: a family registered with
   :meth:`MetricsRegistry.gauge_callback` / :meth:`~MetricsRegistry.counter_callback`
-  computes its value when the page renders (engine counter totals, RSS,
-  mapped-page residency), so nothing polls in the background.
+  computes its value when the page renders (RSS, page faults, mapped-page
+  residency), so nothing polls in the background.
+* **Counters cross process boundaries as deltas**: a process-pool worker takes
+  :meth:`MetricsRegistry.counter_snapshot` before its shards and ships the
+  ``since=`` delta home with the results, where the serving process folds it
+  in with :meth:`MetricsRegistry.merge_counters`.
 * **Rendering emits each family header exactly once** (``# HELP`` then
   ``# TYPE``), with label names sorted -- the strict in-repo parser
   (:func:`parse_prometheus_text`) and the e2e smoke both enforce this.
@@ -38,6 +45,7 @@ from typing import Callable, Iterable, Mapping
 __all__ = [
     "MetricsRegistry",
     "MetricFamily",
+    "CounterGroup",
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
@@ -356,6 +364,43 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
+    # -- cross-process counter deltas --------------------------------------------------
+
+    def counter_snapshot(self, since: Mapping | None = None) -> dict:
+        """Every non-callback counter child: ``{name: (help, labelnames, {label_values: value})}``.
+
+        With ``since`` (an earlier snapshot of this registry) the values are
+        the increments since then, and unchanged children and families are
+        left out.  That delta is what :meth:`merge_counters` folds into another
+        registry; it carries each family's help text and label names, so the
+        receiver can register a family only the sender has.  Callback families,
+        gauges and histograms are not included.
+        """
+        with self._lock:
+            families = [f for f in self._families.values() if f.kind == "counter" and f.callback is None]
+        snapshot: dict[str, tuple] = {}
+        for family in families:
+            with family._lock:
+                values = {key: child.value for key, child in family._children.items()}
+            if since is not None:
+                earlier = since[family.name][2] if family.name in since else {}
+                values = {
+                    key: value - earlier.get(key, 0)
+                    for key, value in values.items()
+                    if value != earlier.get(key, 0)
+                }
+                if not values:
+                    continue
+            snapshot[family.name] = (family.help, family.labelnames, values)
+        return snapshot
+
+    def merge_counters(self, delta: Mapping) -> None:
+        """Add a :meth:`counter_snapshot` delta taken in another registry (or process)."""
+        for name, (help_text, labelnames, values) in delta.items():
+            family = self.counter(name, help_text, labelnames)
+            for key, amount in values.items():
+                family.labels(**dict(zip(labelnames, key))).inc(amount)
+
     # -- rendering ---------------------------------------------------------------------
 
     def render(self) -> str:
@@ -409,6 +454,38 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     with _REGISTRY_LOCK:
         previous, _REGISTRY = _REGISTRY, registry
     return previous
+
+
+class CounterGroup:
+    """The label-less counter families one layer records into the global registry.
+
+    :meth:`declare` registers the families on a registry (idempotently, so a
+    fresh ``/metrics`` page lists them at 0) and returns their children by
+    name.  :meth:`children` does that once per global registry and keeps the
+    result, so a per-query fold is a few ``child.inc`` calls rather than name
+    lookups -- and it follows :func:`set_registry` swaps.
+    """
+
+    __slots__ = ("_help", "_bound")
+
+    def __init__(self, help_texts: Mapping[str, str]):
+        self._help = dict(help_texts)
+        self._bound: tuple[MetricsRegistry | None, dict[str, _Counter]] = (None, {})
+
+    def declare(self, registry: MetricsRegistry) -> dict[str, _Counter]:
+        """Register every family on ``registry``."""
+        return {name: registry.counter(name, text).labels() for name, text in self._help.items()}
+
+    def children(self) -> dict[str, _Counter]:
+        """The families' children on the current global registry."""
+        registry, children = self._bound
+        if registry is not _REGISTRY:
+            # Threads racing here bind the same children: registration and
+            # ``labels()`` are idempotent under the registry's locks.
+            registry = _REGISTRY
+            children = self.declare(registry)
+            self._bound = (registry, children)
+        return children
 
 
 # -- strict text-format parser -----------------------------------------------------------

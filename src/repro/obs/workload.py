@@ -15,8 +15,8 @@ estimated-versus-actual ratio (estimate over visited nodes) -- the number to
 watch when tuning the cost model or an admission budget.
 
 Recording happens once per query at ``run_many`` completion -- off the
-rank/select hot loops, same discipline as ``EngineCounters``.  The server
-exposes the snapshot as ``GET /v1/debug/workload`` and ``repro-serve`` can
+rank/select hot loops, same discipline as the ``engine_*`` counters.  The
+server exposes the snapshot as ``GET /v1/debug/workload`` and ``repro-serve`` can
 switch recording off with ``--no-workload``.
 """
 

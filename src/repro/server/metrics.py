@@ -10,18 +10,20 @@ family's ``# HELP``/``# TYPE`` header exactly once (the old renderer skipped
 ``# HELP`` for engine and gauge families and re-emitted ``# TYPE`` per
 sample name).
 
-Constructing a ``ServerMetrics`` also registers the engine-counter and
-process-resource callback families, so a bare server exposes the full
-process picture from its first scrape.
+Constructing a ``ServerMetrics`` also declares the ``engine_*`` and
+``planner_*`` counter families (recorded by the XPath engine and planner) and
+registers the ``process_*`` callback families, so a bare server exposes the
+full process picture, at 0, from its first scrape.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.obs.counters import register_engine_metrics, register_planner_metrics
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.resources import register_process_metrics
+from repro.xpath.engine import ENGINE_METRICS
+from repro.xpath.planner import PLANNER_METRICS
 
 __all__ = ["ServerMetrics", "LATENCY_BUCKETS"]
 
@@ -68,8 +70,8 @@ class ServerMetrics:
             labels=("route",),
             buckets=LATENCY_BUCKETS,
         )
-        register_engine_metrics(registry)
-        register_planner_metrics(registry)
+        ENGINE_METRICS.declare(registry)
+        PLANNER_METRICS.declare(registry)
         register_process_metrics(registry)
 
     @property
@@ -86,21 +88,13 @@ class ServerMetrics:
         """Record a request the server refused before routing (oversize, parse error)."""
         self._rejected.labels(reason=reason).inc()
 
-    def render(
-        self,
-        gauges: Mapping[str, float] | None = None,
-        engine: Mapping[str, int] | None = None,
-    ) -> str:
+    def render(self, gauges: Mapping[str, float] | None = None) -> str:
         """The full Prometheus text page.
 
         ``gauges`` maps a bare metric name (namespaced automatically) to its
         current value -- the server passes the plan-cache hit rate and the
         in-flight request count this way, so the page always reflects live
         service state without the registry knowing the service.
-
-        ``engine`` is accepted for backwards compatibility and ignored: the
-        ``<ns>_engine_*`` families are callback-backed and read the live
-        :data:`~repro.obs.counters.ENGINE_COUNTERS` at render time.
         """
         for name, value in (gauges or {}).items():
             self._registry.gauge(name, _GAUGE_HELP.get(name, "Live service gauge.")).set(value)

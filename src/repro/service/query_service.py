@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 
 from repro.core.errors import ReproError
 from repro.core.options import EvaluationOptions
-from repro.obs.counters import ENGINE_COUNTERS, PLANNER_COUNTERS
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.obs.workload import get_workload
@@ -226,15 +225,15 @@ def _serve_shards_in_process(
     (:meth:`~repro.obs.tracing.Span.add_child_record`), so cross-process spans
     appear in the trace exactly like same-process ones.
 
-    Engine counters work the same way: this worker's :data:`ENGINE_COUNTERS`
-    is a *different* process-global than the parent's, so the delta
-    accumulated over the batch is shipped back as the second return element
-    and the parent folds it via :meth:`EngineCounters.merge` -- ``/metrics``
-    in the serving process counts process-executor queries exactly like
-    inline ones.
+    Counters work the same way: this worker's registry is a *different*
+    process-global than the parent's, so the counter delta accumulated over
+    the batch (:meth:`~repro.obs.metrics.MetricsRegistry.counter_snapshot`) is
+    shipped back as the second return element and the parent merges it --
+    ``/metrics`` in the serving process counts the worker's engine, planner,
+    store and storage work exactly like inline sweeps.
     """
-    counters_before = ENGINE_COUNTERS.snapshot()
-    planner_before = PLANNER_COUNTERS.snapshot()
+    registry = get_registry()
+    counters_before = registry.counter_snapshot()
     store = _WORKER_STORES.get((root, cache_size, mapped, verify))
     if store is None:
         # With mapped loads (the default over v2 files) every worker's views
@@ -266,11 +265,7 @@ def _serve_shards_in_process(
             )
         seconds = time.perf_counter() - started
         results.append((shard, len(members), seconds, load_seconds, eval_seconds, out, explains, record))
-    deltas = {
-        "engine": ENGINE_COUNTERS.delta_since(counters_before),
-        "planner": PLANNER_COUNTERS.delta_since(planner_before),
-    }
-    return results, deltas
+    return results, registry.counter_snapshot(since=counters_before)
 
 
 class QueryService:
@@ -677,13 +672,10 @@ class QueryService:
             for slot, group in sorted(groups.items())
         ]
         for future in futures:
-            results, counter_deltas = future.result()
-            # The satellite fix for lost worker counters: queries evaluated in
-            # the pool accumulated in *that* process's ENGINE_COUNTERS (and,
-            # since the cost model, PLANNER_COUNTERS); fold the shipped deltas
-            # so this process's /metrics stays complete.
-            ENGINE_COUNTERS.merge(counter_deltas["engine"])
-            PLANNER_COUNTERS.merge(counter_deltas["planner"])
+            results, counter_delta = future.result()
+            # Work done in the pool counted into *that* process's registry;
+            # merge the shipped delta so this process's /metrics is complete.
+            get_registry().merge_counters(counter_delta)
             yield from results
 
     def close(self) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import ReproError
 from repro.core.options import EvaluationOptions
-from repro.obs.counters import ENGINE_COUNTERS
+from repro.obs.metrics import CounterGroup
 from repro.obs.tracing import get_tracer
 from repro.xpath.ast import ImpossibleTest, NameTest, TextTest
 from repro.xpath.bottomup import BottomUpEvaluator
@@ -36,7 +36,60 @@ from repro.xpath.plan import PreparedQuery, prepare_query
 from repro.xpath.planner import QueryPlan, QueryPlanner, as_builtin_predicate, collect_text_predicates
 from repro.xpath.runtime import EvaluationStatistics, TextPredicateRuntime
 
-__all__ = ["QueryResult", "XPathEngine"]
+__all__ = ["QueryResult", "XPathEngine", "ENGINE_METRICS", "record_query"]
+
+#: The ``engine_*`` totals over every query the process evaluated, folded in
+#: once per finished query (:func:`record_query`), never inside the
+#: rank/select loops.  ``kernel_batch_calls_total`` counts batch *invocations*
+#: while ``rank_calls_total``/``select_calls_total`` count engine-level scalar
+#: operations, so the two are not comparable element-for-element.
+ENGINE_METRICS = CounterGroup(
+    {
+        "engine_queries_total": "Queries evaluated by the engine.",
+        "engine_queries_top_down_total": "Queries evaluated with the top-down strategy.",
+        "engine_queries_bottom_up_total": "Queries evaluated with the bottom-up strategy.",
+        "engine_visited_nodes_total": "Tree nodes visited during evaluation.",
+        "engine_marked_nodes_total": "Nodes marked by the tree automaton.",
+        "engine_result_nodes_total": "Nodes returned as query results.",
+        "engine_jumps_total": "Tagged-descendant jumps taken instead of child walks.",
+        "engine_text_queries_total": "Text-predicate evaluations.",
+        "engine_fm_index_queries_total": "Queries that touched the FM-index.",
+        "engine_rank_calls_total": "Scalar rank operations issued by the engine.",
+        "engine_select_calls_total": "Scalar select operations issued by the engine.",
+        "engine_kernel_batch_calls_total": "Vectorized batch-kernel invocations.",
+    }
+)
+
+#: ``(EvaluationStatistics field, family)`` pairs summed once per query.
+_SUMMED_FIELDS = tuple(
+    (name, f"engine_{name}_total")
+    for name in (
+        "visited_nodes",
+        "marked_nodes",
+        "result_nodes",
+        "jumps",
+        "text_queries",
+        "rank_calls",
+        "select_calls",
+        "kernel_batch_calls",
+    )
+)
+
+
+def record_query(stats: EvaluationStatistics) -> None:
+    """Fold one finished query's statistics into the ``engine_*`` counters."""
+    counters = ENGINE_METRICS.children()
+    counters["engine_queries_total"].inc()
+    if stats.strategy == "bottom-up":
+        counters["engine_queries_bottom_up_total"].inc()
+    else:
+        counters["engine_queries_top_down_total"].inc()
+    for field_name, family in _SUMMED_FIELDS:
+        amount = getattr(stats, field_name)
+        if amount:
+            counters[family].inc(amount)
+    if stats.used_fm_index:
+        counters["engine_fm_index_queries_total"].inc()
 
 
 @dataclass
@@ -197,7 +250,7 @@ class XPathEngine:
                     eval_span.set_attribute("count", count)
             stats.result_nodes = count
             query_span.set_attribute("count", count)
-        ENGINE_COUNTERS.record_query(stats)
+        record_query(stats)
         elapsed = time.perf_counter() - started
         return QueryResult(
             query=prepared.text,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.counters import PLANNER_COUNTERS
+from repro.obs.metrics import CounterGroup
 from repro.xpath.ast import (
     AndExpr,
     Axis,
@@ -45,7 +45,28 @@ from repro.xpath.cost import CostEstimate, element_candidate_bound, estimate_pla
 from repro.xpath.formula import BuiltinPredicate
 from repro.xpath.runtime import TextPredicateRuntime
 
-__all__ = ["QueryPlan", "QueryPlanner", "collect_text_predicates", "as_builtin_predicate"]
+__all__ = [
+    "QueryPlan",
+    "QueryPlanner",
+    "PLANNER_METRICS",
+    "collect_text_predicates",
+    "as_builtin_predicate",
+]
+
+#: The ``planner_*`` totals over every plan the process built.  Plans count at
+#: *build* time (plan-cache misses), not per execution -- the per-execution
+#: strategy mix is on the ``engine_*`` counters.  ``planner_estimated_cost_total``
+#: sums floats in node-visit units (see :mod:`repro.xpath.cost`).
+PLANNER_METRICS = CounterGroup(
+    {
+        "planner_plans_total": "Query plans built (plan-cache misses).",
+        "planner_plans_bottom_up_total": "Plans that chose the bottom-up (text-seeded) strategy.",
+        "planner_plans_top_down_total": "Plans that chose the top-down automaton strategy.",
+        "planner_plans_naive_text_total": "Plans forced onto the naive text store (mixed content).",
+        "planner_wildcard_candidate_fallbacks_total": "Wildcard last steps costed via the element-count bound.",
+        "planner_estimated_cost_total": "Sum of estimated plan costs (node-visit units).",
+    }
+)
 
 
 def collect_text_predicates(path: LocationPath) -> list[TextPredicate | PssmPredicate]:
@@ -208,7 +229,7 @@ class QueryPlanner:
             plan.reasons.append(
                 f"wildcard last step: bounding candidates by the document's {candidates} element nodes"
             )
-            PLANNER_COUNTERS.record_wildcard_fallback()
+            PLANNER_METRICS.children()["planner_wildcard_candidate_fallbacks_total"].inc()
         plan.seed_estimate = seeds
         plan.candidate_estimate = candidates
         if seeds > candidates:
@@ -240,7 +261,16 @@ class QueryPlanner:
         )
         plan.estimated_cost = plan.cost.for_strategy(plan.strategy)
         plan.result_estimate = plan.cost.result
-        PLANNER_COUNTERS.record_plan(plan)
+        counters = PLANNER_METRICS.children()
+        counters["planner_plans_total"].inc()
+        if plan.strategy == "bottom-up":
+            counters["planner_plans_bottom_up_total"].inc()
+        else:
+            counters["planner_plans_top_down_total"].inc()
+        if plan.uses_naive_text:
+            counters["planner_plans_naive_text_total"].inc()
+        if plan.estimated_cost is not None:
+            counters["planner_estimated_cost_total"].inc(float(plan.estimated_cost))
         return plan
 
     # -- helpers ---------------------------------------------------------------------------------------------

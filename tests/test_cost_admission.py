@@ -15,7 +15,6 @@ import pytest
 
 from repro import Document
 from repro.client import ReproClient
-from repro.obs.counters import PLANNER_COUNTERS
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.workload import WorkloadAnalytics, set_workload
 from repro.server.admission import AdmissionController
@@ -28,6 +27,7 @@ from repro.xpath.cost import (
     element_candidate_bound,
     estimate_plan_costs,
 )
+from repro.xpath.planner import PLANNER_METRICS
 
 XML = (
     "<site>"
@@ -109,12 +109,17 @@ class TestEnginePlanExport:
         assert record["estimated_cost"] is not None
         assert record["plan"]["estimated_cost"] == record["estimated_cost"]
 
-    def test_planner_counters_accumulate(self, document):
-        before = PLANNER_COUNTERS.snapshot()
+    def test_planner_counters_accumulate(self, document, registry):
+        PLANNER_METRICS.declare(registry)
+        before = registry.counter_snapshot()
         fresh = Document.from_string(XML)  # fresh plan cache -> guaranteed misses
         fresh.engine.plan("//item")
         fresh.engine.plan('//*[contains(text(), "gold")]')
-        delta = PLANNER_COUNTERS.delta_since(before)
+        delta = {
+            name[len("planner_") :]: values[()]
+            for name, (_, _, values) in registry.counter_snapshot(since=before).items()
+            if name.startswith("planner_")
+        }
         assert delta["plans_total"] >= 2
         assert delta["wildcard_candidate_fallbacks_total"] >= 1
         assert delta["estimated_cost_total"] > 0

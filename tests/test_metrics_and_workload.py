@@ -2,7 +2,7 @@
 
 Covers the acceptance bar: families render with exactly one HELP/TYPE header
 each and survive the strict in-repo parser, counters are exact under thread
-concurrency, process-pool engine counters match inline counts, query shapes
+concurrency, process-pool counters match inline counts, query shapes
 fingerprint stably across literal changes, and mincore residency readings sit
 in ``0 < resident <= mapped``.
 """
@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro import Document, DocumentStore, IndexOptions, QueryService
-from repro.obs.counters import ENGINE_COUNTERS, EngineCounters
 from repro.obs.metrics import MetricsRegistry, parse_prometheus_text, set_registry
 from repro.obs.resources import (
     document_residency,
@@ -25,6 +24,8 @@ from repro.obs.workload import WorkloadAnalytics, fingerprint, set_workload
 from repro.server.metrics import ServerMetrics
 from repro.storage.codec import write_format
 from repro.workloads import generate_xmark_xml
+from repro.xpath.engine import ENGINE_METRICS
+from repro.xpath.planner import PLANNER_METRICS
 
 SMALL_XML = "<site><item><name>gold ring</name></item><item><name>tin can</name></item></site>"
 
@@ -209,8 +210,13 @@ def test_server_metrics_page_is_strictly_parseable(registry):
     families = parse_prometheus_text(page)
     assert families["repro_http_requests_total"]["type"] == "counter"
     assert families["repro_http_request_seconds"]["type"] == "histogram"
-    # Engine counter and process resource families ride along as callbacks.
-    assert "repro_engine_queries_total" in families
+    # Engine and planner counters are declared at 0; process resource
+    # families ride along as callbacks.
+    for name in [*ENGINE_METRICS.declare(registry), *PLANNER_METRICS.declare(registry)]:
+        family = families[f"repro_{name}"]
+        assert family["type"] == "counter"
+        assert family["help"] == registry.get(name).help
+        assert [value for _, _, value in family["samples"]] == [0]
     assert "repro_process_max_rss_bytes" in families
 
 
@@ -223,43 +229,102 @@ def test_server_metrics_non_default_namespace_is_isolated(registry):
     assert registry.get("http_requests_total") is None
 
 
-# -- engine counters across processes --------------------------------------------------
+# -- counters across processes ---------------------------------------------------------
 
 
-def test_engine_counter_delta_and_merge():
-    counters = EngineCounters()
-    before = counters.snapshot()
-    merged = EngineCounters()
-    merged.merge({"queries_total": 3, "visited_nodes_total": 70})
-    delta = merged.delta_since(before)
-    assert delta["queries_total"] == 3
-    assert delta["visited_nodes_total"] == 70
-    counters.merge(delta)
-    assert counters.snapshot()["queries_total"] == 3
+def test_counter_snapshot_delta_and_merge():
+    worker = MetricsRegistry()
+    crc = worker.counter("storage_crc_verifications_total", "Checks, by mode.", labels=("mode",))
+    crc.labels(mode="eager").inc(2)
+    cost = worker.counter("planner_estimated_cost_total", "Sum of estimated plan costs.")
+    worker.counter("idle_total", "Never moves.").inc(0)
+    worker.counter_callback("process_minor_page_faults_total", "Faults.", lambda: 5)
+    worker.gauge("queue_depth", "Depth.").set(3)
+    worker.histogram("wait_seconds", "Waits.").observe(0.2)
+    before = worker.counter_snapshot()
+    assert "process_minor_page_faults_total" not in before
+    assert before["storage_crc_verifications_total"][2] == {("eager",): 2}
+
+    crc.labels(mode="eager").inc(3)
+    crc.labels(mode="lazy").inc()
+    cost.inc(2.5)
+    worker.counter("worker_only_total", "Only the worker has it.").inc(4)
+    worker.gauge("queue_depth", "Depth.").set(9)
+    worker.histogram("wait_seconds", "Waits.").observe(0.4)
+    delta = worker.counter_snapshot(since=before)
+    # Unchanged children and families, callbacks, gauges and histograms stay home.
+    assert set(delta) == {"storage_crc_verifications_total", "planner_estimated_cost_total", "worker_only_total"}
+    assert delta["storage_crc_verifications_total"] == ("Checks, by mode.", ("mode",), {("eager",): 3, ("lazy",): 1})
+
+    parent = MetricsRegistry()
+    parent_crc = parent.counter("storage_crc_verifications_total", "Checks, by mode.", labels=("mode",))
+    parent_crc.labels(mode="eager").inc(10)
+    parent.merge_counters(delta)
+    parent.merge_counters(delta)
+    assert parent_crc.labels(mode="eager").value == 16
+    assert parent_crc.labels(mode="lazy").value == 2
+    assert parent.get("planner_estimated_cost_total").value == 5.0
+    only = parent.get("worker_only_total")
+    assert (only.kind, only.help, only.value) == ("counter", "Only the worker has it.", 8)
+    for name in ("process_minor_page_faults_total", "queue_depth", "wait_seconds", "idle_total"):
+        assert parent.get(name) is None
+    families = parse_prometheus_text(parent.render())
+    assert families["repro_storage_crc_verifications_total"]["samples"] == [
+        ("repro_storage_crc_verifications_total", {"mode": "eager"}, 16.0),
+        ("repro_storage_crc_verifications_total", {"mode": "lazy"}, 2.0),
+    ]
+
+    # A family merged under a conflicting schema is refused, not silently mixed.
+    clash = MetricsRegistry()
+    clash.gauge("worker_only_total", "A gauge here.")
+    with pytest.raises(ValueError):
+        clash.merge_counters(delta)
 
 
-def test_process_executor_counters_match_inline(tmp_path):
+#: Registry counters a process-executor sweep must bring home from its workers.
+_SWEEP_COUNTERS = (
+    "store_cache_misses_total",
+    "storage_mapped_loads_total",
+    "engine_queries_total",
+    "engine_visited_nodes_total",
+    "engine_result_nodes_total",
+    "planner_plans_total",
+)
+
+
+def test_process_executor_counters_match_inline(tmp_path, registry):
     store = DocumentStore(tmp_path / "corpus", num_shards=4, cache_size=4)
     for i in range(4):
         store.add_xml(f"doc-{i}", generate_xmark_xml(scale=0.005, seed=i), IndexOptions(sample_rate=16))
     queries = ["//item", "//item/name"]
 
-    ENGINE_COUNTERS.reset()
-    inline = QueryService(store, max_workers=1)
-    inline_results = inline.run_many(queries)
-    inline.close()
-    inline_counts = ENGINE_COUNTERS.snapshot()
+    def totals():
+        families = parse_prometheus_text(registry.render())
+        return {
+            name: sum(value for _, _, value in families[f"repro_{name}"]["samples"])
+            if f"repro_{name}" in families
+            else 0
+            for name in _SWEEP_COUNTERS
+        }
 
-    ENGINE_COUNTERS.reset()
-    with QueryService(store, max_workers=2, executor="process") as service:
-        process_results = service.run_many(queries)
-    process_counts = ENGINE_COUNTERS.snapshot()
+    def sweep(**service_options):
+        # A fresh view of the store, so both sweeps load every document cold.
+        before = totals()
+        with QueryService(DocumentStore(tmp_path / "corpus"), **service_options) as service:
+            results = service.run_many(queries)
+        after = totals()
+        return results, {name: after[name] - before[name] for name in _SWEEP_COUNTERS}
+
+    inline_results, inline_counts = sweep(max_workers=1)
+    process_results, process_counts = sweep(max_workers=2, executor="process")
 
     assert [r.counts for r in process_results] == [r.counts for r in inline_results]
     # The shipped worker deltas make the parent totals match the inline sweep.
-    for field in ("queries_total", "visited_nodes_total", "result_nodes_total"):
-        assert process_counts[field] == inline_counts[field], field
-    assert process_counts["queries_total"] == len(queries) * 4
+    assert process_counts == inline_counts
+    assert inline_counts["engine_queries_total"] == len(queries) * 4
+    assert inline_counts["store_cache_misses_total"] == 4
+    assert inline_counts["storage_mapped_loads_total"] == 4
+    assert inline_counts["planner_plans_total"] == len(queries) * 4
 
 
 # -- workload analytics ----------------------------------------------------------------

@@ -14,6 +14,7 @@ import contextvars
 import io
 import json
 import logging
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -22,20 +23,22 @@ import pytest
 from repro import Document, DocumentStore, QueryService
 from repro.client import ReproClient
 from repro.obs import (
-    ENGINE_COUNTERS,
     NULL_SPAN,
-    EngineCounters,
     JsonLineFormatter,
     KeyValueFormatter,
+    MetricsRegistry,
     Tracer,
     configure_logging,
+    get_registry,
     get_tracer,
+    set_registry,
     set_tracer,
 )
 from repro.server import ApiError, ReproServer
 from repro.server.json_api import service_result_from_json, service_result_to_json
 from repro.service.query_service import ServiceResult, ShardTiming
 from repro.store.document_store import DocumentFailure
+from repro.xpath.engine import ENGINE_METRICS, record_query
 from repro.xpath.parser import XPathSyntaxError
 from repro.xpath.plan import prepare_query
 
@@ -157,7 +160,7 @@ def test_tracer_rejects_zero_capacity():
         Tracer(capacity=0)
 
 
-# -- engine counters -------------------------------------------------------------------
+# -- engine counters on the registry ---------------------------------------------------
 
 
 def _stats(strategy="top-down", **overrides):
@@ -177,11 +180,28 @@ def _stats(strategy="top-down", **overrides):
     return SimpleNamespace(**base)
 
 
-def test_engine_counters_fold_and_reset():
-    counters = EngineCounters()
-    counters.record_query(_stats("top-down"))
-    counters.record_query(_stats("bottom-up", used_fm_index=False))
-    snap = counters.snapshot()
+@pytest.fixture()
+def registry():
+    """A fresh global registry; restores the previous one afterwards."""
+    fresh = MetricsRegistry()
+    previous = set_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        set_registry(previous)
+
+
+def _engine_totals(registry) -> dict[str, float]:
+    return {
+        name[len("engine_") :]: registry.get(name).value
+        for name in ENGINE_METRICS.declare(registry)
+    }
+
+
+def test_engine_counters_fold_and_reset(registry):
+    record_query(_stats("top-down"))
+    record_query(_stats("bottom-up", used_fm_index=False))
+    snap = _engine_totals(registry)
     assert snap["queries_total"] == 2
     assert snap["queries_top_down_total"] == 1
     assert snap["queries_bottom_up_total"] == 1
@@ -190,15 +210,59 @@ def test_engine_counters_fold_and_reset():
     assert snap["rank_calls_total"] == 6
     assert snap["select_calls_total"] == 8
     assert snap["kernel_batch_calls_total"] == 4
-    counters.reset()
-    assert all(value == 0 for value in counters.snapshot().values())
+    # Counters never reset in place: a fresh registry starts at zero, and the
+    # engine's cached children follow the swap instead of the old registry.
+    fresh = MetricsRegistry()
+    previous = set_registry(fresh)
+    try:
+        assert all(value == 0 for value in _engine_totals(fresh).values())
+        record_query(_stats("top-down"))
+        assert _engine_totals(fresh)["queries_total"] == 1
+    finally:
+        set_registry(previous)
+    assert _engine_totals(registry)["queries_total"] == 2
+
+
+def test_engine_counters_are_exact_when_threads_race_to_bind_a_fresh_registry(registry):
+    # Every thread's first record_query resolves the children on the fresh
+    # registry at once; an orphaned child would lose its increments.
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=10)
+        for _ in range(200):
+            record_query(_stats("top-down"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    totals = _engine_totals(registry)
+    assert totals["queries_total"] == 1600
+    assert totals["visited_nodes_total"] == 1600 * 5
+
+
+def test_engine_counters_stop_while_the_registry_is_disabled(registry):
+    registry.disable()
+    try:
+        record_query(_stats("top-down"))
+    finally:
+        registry.enable()
+    assert all(value == 0 for value in _engine_totals(registry).values())
 
 
 def test_engine_folds_into_the_global_counters():
     document = Document.from_string(SMALL_XML)
-    before = ENGINE_COUNTERS.snapshot()
+    before = _engine_totals(get_registry())
     assert document.count("//b") == 2
-    after = ENGINE_COUNTERS.snapshot()
+    after = _engine_totals(get_registry())
     assert after["queries_total"] == before["queries_total"] + 1
     assert after["visited_nodes_total"] >= before["visited_nodes_total"]
 
